@@ -145,13 +145,16 @@ the survivors regroup.
 
   matgnn-cli serve [--model FILE] [--params P] [--layers L] [--seed S]
                    [--requests N] [--graphs N] [--workers W]
-                   [--max-atoms A] [--max-graphs G] [--max-wait-ms MS]
+                   [--max-atoms A] [--max-graphs G]
                    [--queue-capacity Q] [--slo-ms MS]
                    [--metrics-addr HOST:PORT] [--metrics-hold-ms MS]
       In-process serving demo: freeze a model into the tape-free
       inference engine, start the dynamic batcher, drive N synthetic
       requests through it, and print batch-fill and latency statistics
-      (p50/p99). Without --model a fresh seeded EGNN is served.
+      (p50/p99). Without --model a fresh seeded EGNN is served. Dispatch
+      is work-conserving: a free worker takes at once the longest FIFO
+      prefix within --max-atoms/--max-graphs, so batches grow with
+      backlog and an idle pool never holds a request back.
       --metrics-addr raises the live metrics plane: Prometheus text
       exposition at /metrics (sliding-window p50/p99, queue depth,
       shed/SLO-breach counters) and worker-pool readiness at /healthz;
@@ -657,24 +660,17 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     let cfg = BatcherConfig {
         max_atoms: get_usize(opts, "max-atoms", defaults.max_atoms)?,
         max_graphs: get_usize(opts, "max-graphs", defaults.max_graphs)?,
-        max_wait: Duration::from_millis(get_u64(
-            opts,
-            "max-wait-ms",
-            defaults.max_wait.as_millis() as u64,
-        )?),
         queue_capacity: get_usize(opts, "queue-capacity", defaults.queue_capacity)?,
         workers: get_usize(opts, "workers", defaults.workers)?,
         slo_ms: get_f64(opts, "slo-ms", defaults.slo_ms)?,
+        ..defaults
     };
     let requests = get_usize(opts, "requests", 200)?;
     let pool_n = get_usize(opts, "graphs", 48)?;
     let seed = get_u64(opts, "seed", 0)?;
     println!(
-        "batcher: {} worker(s), max {} atoms / {} graphs per batch, {}ms window",
-        cfg.workers,
-        cfg.max_atoms,
-        cfg.max_graphs,
-        cfg.max_wait.as_millis()
+        "batcher: {} worker(s), max {} atoms / {} graphs per batch, work-conserving dispatch",
+        cfg.workers, cfg.max_atoms, cfg.max_graphs
     );
 
     let ds = Dataset::generate_aggregate(pool_n, seed, &GeneratorConfig::default());
@@ -737,6 +733,11 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         "latency  p50 {:.2} ms, p99 {:.2} ms",
         q("serve.latency_ms", 0.5),
         q("serve.latency_ms", 0.99)
+    );
+    println!(
+        "queued   p50 {:.2} ms, p99 {:.2} ms",
+        q("serve.queue_wait_ms", 0.5),
+        q("serve.queue_wait_ms", 0.99)
     );
     println!(
         "batching p50 {:.0} graphs / {:.0} atoms per batch",

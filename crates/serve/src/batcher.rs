@@ -1,13 +1,19 @@
 //! Dynamic batching: a bounded FIFO request queue packed into
-//! [`GraphBatch`]es under a max-atoms / max-wait policy by a worker pool.
+//! [`GraphBatch`]es by a work-conserving worker pool.
 //!
 //! Requests arrive one graph at a time; the kernels are most efficient on
-//! batches. A worker that finds work waits up to
-//! [`max_wait`](BatcherConfig::max_wait) (measured from the *oldest*
-//! queued request, so the window never restarts) for the queue to fill a
-//! batch, then takes the longest prefix admitted by the
-//! [`PackPolicy`](matgnn_graph::PackPolicy) — FIFO order, a request is
-//! never overtaken by a later one. The queue is bounded:
+//! batches. The policy is *continuous batching*: a worker that finds the
+//! queue non-empty takes, at once, the longest prefix admitted by the
+//! [`PackPolicy`](matgnn_graph::PackPolicy) (`max_atoms` / `max_graphs`) —
+//! FIFO order, a request is never overtaken by a later one — and never
+//! lingers for more to arrive. Batch size follows backlog by itself:
+//! whatever arrives while every worker is busy is the next batch, so an
+//! idle pool answers a lone request in one forward and a saturated pool
+//! fills its batches. A timed window in front of dispatch would buy
+//! little on this engine and charge every request for it: the perf record
+//! has the frozen forward at 6.6 µs per atom for a single graph against
+//! 5.7 µs in a packed 510-atom batch (`model.frozen.predict.{single,batch}_us`),
+//! so lingering saves at most 14 % of worker CPU. The queue is bounded:
 //! [`submit`](DynamicBatcher::submit) blocks for backpressure,
 //! [`try_submit`](DynamicBatcher::try_submit) refuses instead (the
 //! load-shedding path a saturation bench needs).
@@ -15,9 +21,12 @@
 //! Per-request telemetry flows through the PR-5 layer: span
 //! `serve.batch` around each engine call, gauge `serve.queue_depth`,
 //! histograms `serve.batch.graphs` / `serve.batch.atoms` /
-//! `serve.latency_ms` (the latter feeding p50/p99 via
-//! [`histogram_quantile`](matgnn_telemetry::histogram_quantile)), and
-//! counter `serve.requests`.
+//! `serve.queue_wait_ms` / `serve.latency_ms` (the last two also as
+//! sliding windows, feeding p50/p99 via
+//! [`histogram_quantile`](matgnn_telemetry::histogram_quantile) and
+//! `/metrics`), and counter `serve.requests`. Queue wait and batch fill
+//! are separate series, so a slow reply shows whether it waited or was
+//! served in a large batch.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -39,8 +48,9 @@ pub struct BatcherConfig {
     pub max_atoms: usize,
     /// Maximum graphs packed into one batch.
     pub max_graphs: usize,
-    /// How long a worker waits for the queue to fill a batch, measured
-    /// from the oldest queued request's arrival.
+    /// No longer delays dispatch: workers take what is queued the moment
+    /// they are free. Kept only because the frozen benchmark sets it;
+    /// removed together with that literal in the next `benchmark` PR.
     pub max_wait: Duration,
     /// Queue bound: [`submit`](DynamicBatcher::submit) blocks and
     /// [`try_submit`](DynamicBatcher::try_submit) refuses beyond this.
@@ -149,8 +159,10 @@ struct Shared {
     /// Signalled when queue space frees up (blocking submitters wait).
     space: Condvar,
     shutdown: AtomicBool,
-    /// Workers currently running their loop — the `/healthz` liveness
-    /// signal. Decremented on any worker exit, panics included.
+    /// Workers started and not yet exited — the `/healthz` liveness
+    /// signal. Counted by `start` before it spawns, so the pool is ready
+    /// when `start` returns; decremented on any worker exit, panics
+    /// included.
     live_workers: AtomicUsize,
 }
 
@@ -176,7 +188,7 @@ impl DynamicBatcher {
             not_empty: Condvar::new(),
             space: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            live_workers: AtomicUsize::new(0),
+            live_workers: AtomicUsize::new(cfg.workers),
         });
         let workers = (0..cfg.workers)
             .map(|i| {
@@ -244,7 +256,7 @@ impl DynamicBatcher {
         lock(&self.shared.queue).len()
     }
 
-    /// Number of worker threads currently alive in their serve loop.
+    /// Number of worker threads started and not yet exited.
     pub fn live_workers(&self) -> usize {
         self.shared.live_workers.load(Ordering::Acquire)
     }
@@ -263,13 +275,9 @@ impl DynamicBatcher {
 
     /// Stops accepting new requests, drains the queue, and joins the
     /// workers. Every already-accepted request is served before return.
-    pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.not_empty.notify_all();
-        self.shared.space.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+    /// Dropping the batcher does the same.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
@@ -304,9 +312,9 @@ fn batch_prefix(queue: &VecDeque<Request>, policy: &PackPolicy) -> (usize, usize
     (graphs, atoms)
 }
 
-/// Decrements the live-worker count when a worker exits — by return or
-/// by panic (drops run during unwinding), so `/healthz` cannot report a
-/// dead pool as ready.
+/// Decrements the live-worker count (set by [`DynamicBatcher::start`])
+/// when a worker exits — by return or by panic (drops run during
+/// unwinding), so `/healthz` cannot report a dead pool as ready.
 struct LivenessGuard<'a>(&'a Shared);
 
 impl Drop for LivenessGuard<'_> {
@@ -316,16 +324,12 @@ impl Drop for LivenessGuard<'_> {
 }
 
 fn worker_loop(shared: &Shared) {
-    shared.live_workers.fetch_add(1, Ordering::AcqRel);
     let _liveness = LivenessGuard(shared);
     let policy = shared.cfg.policy();
     loop {
-        // Phase 1: wait for work (or shutdown with an empty queue).
+        // Wait for work (or shutdown with an empty queue).
         let mut queue = lock(&shared.queue);
-        loop {
-            if !queue.is_empty() {
-                break;
-            }
+        while queue.is_empty() {
             if shared.shutdown.load(Ordering::Acquire) {
                 return;
             }
@@ -336,51 +340,23 @@ fn worker_loop(shared: &Shared) {
                 .0;
         }
 
-        // Phase 2: batching window — wait for the queue to fill a batch,
-        // but never past the oldest request's deadline (and not at all
-        // when draining for shutdown). The wait releases the lock, so
-        // another worker may drain the queue out from under us — an empty
-        // wakeup goes back to phase 1.
-        let deadline = queue.front().expect("non-empty").enqueued + shared.cfg.max_wait;
-        loop {
-            if queue.is_empty() {
-                break;
-            }
-            let (graphs, atoms) = batch_prefix(&queue, &policy);
-            let full = graphs >= shared.cfg.max_graphs
-                || atoms >= shared.cfg.max_atoms
-                || graphs < queue.len();
-            if full || shared.shutdown.load(Ordering::Acquire) {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            queue = shared
-                .not_empty
-                .wait_timeout(queue, deadline - now)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-        }
-
-        // Phase 3: take the admitted prefix (possibly none, if another
-        // worker raced us to it).
-        let (graphs, _) = batch_prefix(&queue, &policy);
-        if graphs == 0 {
-            continue;
-        }
+        // Work-conserving dispatch: take what the policy admits of the
+        // queue as it stands. The lock is held since the emptiness check
+        // and a batch always admits its first graph, so the prefix is
+        // never empty; what arrives while this batch is served is the
+        // next one.
+        let (graphs, atoms) = batch_prefix(&queue, &policy);
         let requests: Vec<Request> = queue.drain(..graphs).collect();
         telemetry::gauge_set("serve.queue_depth", queue.len() as f64);
         drop(queue);
         shared.space.notify_all();
 
-        // Phase 4: serve it (lock released — other workers keep going).
-        serve_batch(shared, requests);
+        // Serve it (lock released — other workers keep going).
+        serve_batch(shared, requests, atoms);
     }
 }
 
-fn serve_batch(shared: &Shared, requests: Vec<Request>) {
+fn serve_batch(shared: &Shared, requests: Vec<Request>, batch_atoms: usize) {
     debug_assert!(!requests.is_empty());
     let started = Instant::now();
     let predictions = {
@@ -390,15 +366,18 @@ fn serve_batch(shared: &Shared, requests: Vec<Request>) {
         shared.engine.predict(&batch)
     };
     let batch_graphs = requests.len();
-    let batch_atoms: usize = requests.iter().map(|r| r.graph.n_nodes()).sum();
     telemetry::histogram_record("serve.batch.graphs", batch_graphs as f64);
     telemetry::histogram_record("serve.batch.atoms", batch_atoms as f64);
     telemetry::counter_add("serve.requests", batch_graphs as u64);
     for (req, pred) in requests.into_iter().zip(predictions) {
+        let queue_wait = started.duration_since(req.enqueued);
+        let queue_wait_ms = queue_wait.as_secs_f64() * 1e3;
         let latency_ms = req.enqueued.elapsed().as_secs_f64() * 1e3;
+        telemetry::histogram_record("serve.queue_wait_ms", queue_wait_ms);
         telemetry::histogram_record("serve.latency_ms", latency_ms);
-        // Sliding window feeds the live /metrics p50/p99 (exact over
+        // Sliding windows feed the live /metrics p50/p99 (exact over
         // the last WINDOW_DEFAULT_CAP requests).
+        telemetry::window_record("serve.queue_wait_ms", queue_wait_ms);
         telemetry::window_record("serve.latency_ms", latency_ms);
         if latency_ms > shared.cfg.slo_ms {
             telemetry::counter_add("serve.slo_breach", 1);
@@ -407,7 +386,7 @@ fn serve_batch(shared: &Shared, requests: Vec<Request>) {
         let _ = req.tx.send(Prediction {
             energy: pred.energy,
             forces: pred.forces,
-            queue_wait: started.duration_since(req.enqueued),
+            queue_wait,
             batch_graphs,
             batch_atoms,
         });
@@ -434,6 +413,63 @@ mod tests {
         ))
     }
 
+    /// Queues `sizes` (chains of that many atoms, in order) behind a
+    /// single worker that is busy the whole time they arrive, and returns
+    /// their tickets — the backlog a loaded server sees, built without a
+    /// timer. The worker is kept busy with one chain larger than
+    /// `max_atoms`, which no batch can share. That chain's reply still
+    /// being outstanding after the last submit proves the worker has not
+    /// looked at the queue since the burst began; if the host stalled this
+    /// thread long enough for the reply to land first, the burst is
+    /// drained and queued again.
+    fn queue_behind_busy_worker(batcher: &DynamicBatcher, sizes: &[usize]) -> Vec<Ticket> {
+        let cfg = batcher.shared.cfg;
+        assert_eq!(cfg.workers, 1, "backlog is only certain behind one worker");
+        let blocker = chain(cfg.max_atoms.max(2048) + 1);
+        let burst: Vec<MolGraph> = sizes.iter().map(|&n| chain(n)).collect();
+        for _ in 0..20 {
+            let busy = batcher.submit(blocker.clone()).unwrap();
+            let tickets: Vec<Ticket> = burst
+                .iter()
+                .map(|g| batcher.submit(g.clone()).unwrap())
+                .collect();
+            if busy.poll().is_none() {
+                return tickets;
+            }
+            for t in tickets {
+                t.wait().unwrap();
+            }
+        }
+        panic!("the worker outran the submitter 20 times in a row");
+    }
+
+    fn queued(sizes: &[usize]) -> VecDeque<Request> {
+        sizes
+            .iter()
+            .map(|&n| Request {
+                graph: chain(n),
+                enqueued: Instant::now(),
+                tx: mpsc::channel().0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batch_prefix_respects_caps_and_admits_an_oversize_head() {
+        let policy = PackPolicy {
+            max_atoms: 8,
+            max_graphs: 3,
+        };
+        assert_eq!(batch_prefix(&queued(&[]), &policy), (0, 0));
+        // A graph larger than max_atoms is served alone, not stranded.
+        assert_eq!(batch_prefix(&queued(&[20, 2]), &policy), (1, 20));
+        // Exactly max_atoms fits; one atom more does not.
+        assert_eq!(batch_prefix(&queued(&[4, 4, 2]), &policy), (2, 8));
+        assert_eq!(batch_prefix(&queued(&[4, 3, 2]), &policy), (2, 7));
+        // max_graphs binds before max_atoms.
+        assert_eq!(batch_prefix(&queued(&[2, 2, 2, 2]), &policy), (3, 6));
+    }
+
     #[test]
     fn serves_concurrent_requests() {
         let batcher = DynamicBatcher::start(engine(), BatcherConfig::default());
@@ -449,6 +485,52 @@ mod tests {
         batcher.shutdown();
     }
 
+    /// An idle pool answers a lone request at once, whatever `max_wait`
+    /// says: dispatch is work-conserving, there is no batching window.
+    #[test]
+    fn lone_request_is_dispatched_without_waiting() {
+        let cfg = BatcherConfig {
+            max_wait: Duration::from_secs(5),
+            ..BatcherConfig::default()
+        };
+        let batcher = DynamicBatcher::start(engine(), cfg);
+        let p = batcher.submit(chain(3)).unwrap().wait().unwrap();
+        assert_eq!(p.batch_graphs, 1);
+        assert!(
+            p.queue_wait < Duration::from_millis(500),
+            "an idle worker let the request queue for {:?}",
+            p.queue_wait
+        );
+        batcher.shutdown();
+    }
+
+    /// What queues up while the worker is busy is its next batch: the
+    /// longest FIFO prefix within `max_atoms`, then the rest.
+    #[test]
+    fn backlog_becomes_the_next_batch_in_fifo_order() {
+        let cfg = BatcherConfig {
+            max_atoms: 20,
+            workers: 1,
+            ..BatcherConfig::default()
+        };
+        let batcher = DynamicBatcher::start(engine(), cfg);
+        let sizes = [2, 3, 4, 5, 6, 7];
+        let replies: Vec<Prediction> = queue_behind_busy_worker(&batcher, &sizes)
+            .into_iter()
+            .map(|t| t.wait().unwrap())
+            .collect();
+        for (i, p) in replies.iter().enumerate() {
+            assert_eq!(p.forces.len(), sizes[i], "reply {i} is out of order");
+        }
+        // 2+3+4+5+6 = 20 atoms fill one batch; the 7-atom graph would be
+        // the 27th atom and is served next, alone.
+        for p in &replies[..5] {
+            assert_eq!((p.batch_graphs, p.batch_atoms), (5, 20));
+        }
+        assert_eq!((replies[5].batch_graphs, replies[5].batch_atoms), (1, 7));
+        batcher.shutdown();
+    }
+
     /// Batched results must be identical to serving each graph alone —
     /// graphs are disjoint in the batch union.
     #[test]
@@ -459,15 +541,14 @@ mod tests {
             let batch = GraphBatch::from_graphs(&[&g]);
             eng.predict(&batch).remove(0)
         };
-        // Force batching: many identical graphs, generous window.
         let cfg = BatcherConfig {
-            max_wait: Duration::from_millis(20),
+            workers: 1,
             ..BatcherConfig::default()
         };
         let batcher = DynamicBatcher::start(Arc::clone(&eng), cfg);
-        let tickets: Vec<Ticket> = (0..8).map(|_| batcher.submit(chain(4)).unwrap()).collect();
-        for t in tickets {
+        for t in queue_behind_busy_worker(&batcher, &[4; 8]) {
             let p = t.wait().unwrap();
+            assert_eq!(p.batch_graphs, 8, "the burst was not served as one batch");
             assert_eq!(p.energy, solo.energy, "batching changed the energy");
             assert_eq!(p.forces, solo.forces, "batching changed the forces");
         }
@@ -478,18 +559,16 @@ mod tests {
     fn max_atoms_bounds_batches() {
         let cfg = BatcherConfig {
             max_atoms: 8,
-            max_wait: Duration::from_millis(30),
             workers: 1,
             ..BatcherConfig::default()
         };
         let batcher = DynamicBatcher::start(engine(), cfg);
-        let tickets: Vec<Ticket> = (0..6).map(|_| batcher.submit(chain(4)).unwrap()).collect();
-        for t in tickets {
+        for t in queue_behind_busy_worker(&batcher, &[4; 6]) {
             let p = t.wait().unwrap();
-            assert!(
-                p.batch_atoms <= 8,
-                "batch of {} atoms exceeds max_atoms",
-                p.batch_atoms
+            assert_eq!(
+                (p.batch_graphs, p.batch_atoms),
+                (2, 8),
+                "24 queued atoms must be served as three full 8-atom batches"
             );
         }
         batcher.shutdown();
@@ -497,12 +576,11 @@ mod tests {
 
     #[test]
     fn try_submit_sheds_load_when_full() {
-        // One worker, tiny queue, and a generous batching window so the
-        // queue backs up deterministically.
+        // One worker, a tiny queue and one graph per batch: submitting is
+        // far cheaper than a forward, so the queue backs up.
         let cfg = BatcherConfig {
             queue_capacity: 2,
             workers: 1,
-            max_wait: Duration::from_millis(200),
             max_graphs: 1,
             ..BatcherConfig::default()
         };
@@ -527,14 +605,15 @@ mod tests {
     fn shutdown_drains_accepted_requests() {
         let cfg = BatcherConfig {
             workers: 1,
-            max_wait: Duration::from_millis(100),
             ..BatcherConfig::default()
         };
         let batcher = DynamicBatcher::start(engine(), cfg);
-        let tickets: Vec<Ticket> = (0..8).map(|_| batcher.submit(chain(3)).unwrap()).collect();
+        // Still queued behind the busy worker when shutdown begins.
+        let tickets = queue_behind_busy_worker(&batcher, &[3; 8]);
         batcher.shutdown();
         for t in tickets {
-            t.wait().expect("accepted request dropped at shutdown");
+            let p = t.wait().expect("accepted request dropped at shutdown");
+            assert_eq!(p.batch_graphs, 8);
         }
     }
 
@@ -546,8 +625,7 @@ mod tests {
         };
         let batcher = DynamicBatcher::start(engine(), cfg);
         let probe = batcher.readiness_probe();
-        // Serve one request so every worker has certainly started.
-        batcher.submit(chain(3)).unwrap().wait().unwrap();
+        // Ready as soon as `start` returns, before any worker has run.
         assert_eq!(batcher.live_workers(), 3);
         assert!(probe(), "pool alive but probe not ready");
         batcher.shutdown();
@@ -566,6 +644,14 @@ mod tests {
         let p50 = telemetry::histogram_quantile("serve.latency_ms", 0.5)
             .expect("latency histogram empty");
         assert!(p50 >= 0.0);
+        assert!(
+            telemetry::histogram_quantile("serve.queue_wait_ms", 0.5).is_some(),
+            "queue-wait histogram empty"
+        );
+        assert!(
+            telemetry::window_quantile("serve.queue_wait_ms", 0.99).is_some(),
+            "queue-wait window empty"
+        );
         let snap = telemetry::snapshot();
         assert!(
             snap.iter().any(|(k, _)| k == "serve.requests"),

@@ -3,8 +3,10 @@
 //! The inference serving stack: an immutable, tape-free
 //! [`InferenceEngine`] that loads MGTC v1 checkpoints into a frozen
 //! forward pass, and a [`DynamicBatcher`] front-end that packs concurrent
-//! variable-size requests into bounded [`GraphBatch`]es under a
-//! max-atoms / max-wait policy and serves them from a worker pool.
+//! variable-size requests into bounded [`GraphBatch`]es and serves them
+//! from a work-conserving worker pool: a free worker takes at once
+//! whatever the max-atoms / max-graphs caps admit of the queue, so
+//! batches grow with backlog and an idle pool never holds a request back.
 //!
 //! Training optimizes throughput per step; serving optimizes latency
 //! under concurrency. The pieces here connect the training-side
@@ -15,8 +17,9 @@
 //!   [`Normalizer`](matgnn_data::Normalizer), predicting physical-unit
 //!   energies and forces with zero steady-state heap allocations.
 //! * **Batcher** ([`batcher`]): a bounded FIFO request queue, packing by
-//!   [`PackPolicy`](matgnn_graph::PackPolicy), per-request latency
-//!   metrics (`serve.latency_ms` feeds p50/p99 via
+//!   [`PackPolicy`](matgnn_graph::PackPolicy) with no batching window,
+//!   per-request latency and queue-wait metrics (`serve.latency_ms` and
+//!   `serve.queue_wait_ms` feed p50/p99 via
 //!   [`histogram_quantile`](matgnn_telemetry::histogram_quantile)),
 //!   load-shed (`serve.shed`) and SLO-breach (`serve.slo_breach`)
 //!   counters.
