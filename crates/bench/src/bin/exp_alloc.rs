@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use matgnn::prelude::*;
-use matgnn::tensor::{pool, recycler};
+use matgnn::tensor::{pool, recycler, Runtime};
 use matgnn::train::{profile_step, train_step, Adam, AdamHyper, Optimizer};
 
 /// [`System`] with an allocation-event counter: `alloc` and `realloc`
@@ -93,7 +93,7 @@ fn measure_leg(
     warmup: usize,
     steps: usize,
 ) -> Leg {
-    recycler::set_enabled_override(Some(enabled));
+    let _rt = Runtime::current().with_recycler(enabled).enter();
     let mut model = Egnn::new(EgnnConfig::new(hidden, 3).with_seed(42));
     let mut optimizer = Adam::new(model.params(), AdamHyper::default(), None);
     run_steps(&mut model, &mut optimizer, batch, targets, loss_cfg, warmup);
@@ -105,7 +105,6 @@ fn measure_leg(
     let wall = t0.elapsed();
     let allocs = ALLOC_EVENTS.load(Ordering::Relaxed) - allocs0;
     let bytes = ALLOC_BYTES.load(Ordering::Relaxed) - bytes0;
-    recycler::set_enabled_override(None);
 
     Leg {
         allocs_per_step: allocs as f64 / steps as f64,
@@ -125,11 +124,10 @@ fn trajectory_bits(
     hidden: usize,
     steps: usize,
 ) -> Vec<u64> {
-    recycler::set_enabled_override(Some(enabled));
+    let _rt = Runtime::current().with_recycler(enabled).enter();
     let mut model = Egnn::new(EgnnConfig::new(hidden, 3).with_seed(42));
     let mut optimizer = Adam::new(model.params(), AdamHyper::default(), None);
     let loss = run_steps(&mut model, &mut optimizer, batch, targets, loss_cfg, steps);
-    recycler::set_enabled_override(None);
 
     let mut bits = vec![loss.to_bits()];
     bits.extend(
@@ -151,11 +149,9 @@ fn tracked_peak(
     loss_cfg: &LossConfig,
     hidden: usize,
 ) -> u64 {
-    recycler::set_enabled_override(Some(enabled));
+    let _rt = Runtime::current().with_recycler(enabled).enter();
     let mut model = Egnn::new(EgnnConfig::new(hidden, 3).with_seed(42));
-    let peak = profile_step(&mut model, batch, targets, loss_cfg, false).peak_total;
-    recycler::set_enabled_override(None);
-    peak
+    profile_step(&mut model, batch, targets, loss_cfg, false).peak_total
 }
 
 #[allow(clippy::too_many_lines)]
@@ -166,7 +162,7 @@ fn main() {
         mode,
     );
 
-    let threads = pool::configured_threads();
+    let threads = pool::num_threads();
     let (hidden, graphs, warmup, steps, traj_steps) = match mode {
         matgnn_bench::RunMode::Quick => (48, 6, 3, 8, 6),
         matgnn_bench::RunMode::Full => (96, 12, 5, 20, 10),
@@ -183,12 +179,12 @@ fn main() {
     let loss_cfg = LossConfig::default();
 
     // — allocation + speed legs at pool-of-1 —
-    pool::set_thread_override(1);
+    let pool_of_1 = Runtime::current().with_threads(1).enter();
     let off = measure_leg(false, &batch, &targets, &loss_cfg, hidden, warmup, steps);
     let rec0 = recycler::stats();
     let on = measure_leg(true, &batch, &targets, &loss_cfg, hidden, warmup, steps);
     let rec = recycler::stats().delta_since(&rec0);
-    pool::set_thread_override(0);
+    drop(pool_of_1);
 
     let reduction = 1.0 - on.allocs_per_step / off.allocs_per_step;
     let bitwise_legs = on.final_loss.to_bits() == off.final_loss.to_bits();

@@ -25,7 +25,7 @@
 
 use matgnn::prelude::*;
 use matgnn::tensor::rng::Rng;
-use matgnn::tensor::{pool, simd};
+use matgnn::tensor::{pool, simd, Runtime};
 use matgnn::train::{train_step, AdamHyper};
 use matgnn_bench::{banner, csv_row, RunMode};
 use std::time::{Duration, Instant};
@@ -65,7 +65,7 @@ struct Row {
 /// Best-of-`reps` wall milliseconds for `run` under a forced pool size,
 /// plus the output bits for cross-size / cross-tier comparison.
 fn time_leg(threads: usize, reps: usize, run: &dyn Fn() -> Vec<u32>) -> (f64, Vec<u32>) {
-    pool::set_thread_override(threads);
+    let _rt = Runtime::current().with_threads(threads).enter();
     let t0 = Instant::now();
     let mut out = run();
     let mut best = t0.elapsed().as_secs_f64() * 1e3;
@@ -78,7 +78,6 @@ fn time_leg(threads: usize, reps: usize, run: &dyn Fn() -> Vec<u32>) -> (f64, Ve
         out = run();
         best = best.min(t0.elapsed().as_secs_f64() * 1e3);
     }
-    pool::set_thread_override(0);
     (best, out)
 }
 
@@ -91,7 +90,7 @@ type Kernel<'a> = &'a dyn Fn() -> Vec<u32>;
 /// ratio (consecutive quick runs on the 2-vCPU reference host read
 /// `matmul_tn / matmul` anywhere from 0.72× to 1.39× that way).
 fn interleaved_ratio(slow: Kernel, fast: Kernel) -> f64 {
-    pool::set_thread_override(1);
+    let _rt = Runtime::current().with_threads(1).enter();
     let (mut best_slow, mut best_fast) = (f64::INFINITY, f64::INFINITY);
     let deadline = Instant::now() + Duration::from_millis(200);
     while Instant::now() < deadline {
@@ -101,7 +100,6 @@ fn interleaved_ratio(slow: Kernel, fast: Kernel) -> f64 {
             *best = best.min(t0.elapsed().as_secs_f64());
         }
     }
-    pool::set_thread_override(0);
     best_slow / best_fast
 }
 
@@ -131,9 +129,10 @@ fn bench(
     run: &dyn Fn() -> Vec<u32>,
 ) {
     // Leg 1: scalar tier, pool of 1 — the portable reference.
-    simd::set_simd_override(Some(simd::SimdTier::Scalar));
-    let (scalar_ms, scalar_out) = time_leg(1, reps, run);
-    simd::set_simd_override(None);
+    let (scalar_ms, scalar_out) = {
+        let _rt = Runtime::current().with_simd(simd::SimdTier::Scalar).enter();
+        time_leg(1, reps, run)
+    };
     // Leg 2: active tier, pool of 1 — isolates the SIMD speedup.
     let (serial_ms, serial_out) = time_leg(1, reps, run);
     // Leg 3: active tier, configured pool — isolates the pool speedup.
@@ -217,7 +216,7 @@ fn main() {
         mode,
     );
 
-    let threads = pool::configured_threads().max(2);
+    let threads = pool::num_threads().max(2);
     let tier = simd::active_tier();
     let (reps, nm, nt, sum_rows, map_n, nodes, edges, dim, adam_n, hidden, graphs) = match mode {
         RunMode::Quick => (
@@ -227,21 +226,14 @@ fn main() {
             5, 768, 2048, 8192, 8_000_000, 5_000, 150_000, 128, 4_000_000, 192, 16,
         ),
     };
+    let hw = Runtime::hardware();
     println!(
-        "simd tier: {} ({}; set MATGNN_SIMD=off|avx2|avx512 to override)",
-        tier,
-        if simd::avx512_available() {
-            "avx512f detected"
-        } else if simd::avx2_available() {
-            "avx2+fma detected"
-        } else {
-            "no vector tier available"
-        }
+        "simd tier: {tier} (best detected: {}; set MATGNN_SIMD=off|avx2|avx512 to override)",
+        hw.simd
     );
     println!(
-        "pool: {} worker(s) configured ({} available; set MATGNN_THREADS to override)\n",
-        threads,
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        "pool: {threads} worker(s) configured ({} available; set MATGNN_THREADS to override)\n",
+        hw.threads
     );
     println!(
         "csv header: kernel,scalar_ms,serial_ms,pooled_ms,simd_speedup,speedup,\

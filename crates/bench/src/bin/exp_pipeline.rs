@@ -102,7 +102,7 @@ fn main() {
         mode,
     );
 
-    let threads = pool::configured_threads();
+    let threads = pool::num_threads();
     let (hidden, graphs, epochs, batch_size) = match mode {
         matgnn_bench::RunMode::Quick => (32, 16, 2, 4),
         matgnn_bench::RunMode::Full => (64, 32, 3, 4),

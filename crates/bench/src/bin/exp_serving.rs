@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use matgnn::prelude::*;
 use matgnn::serve::{BatcherConfig, DynamicBatcher, InferenceEngine};
 use matgnn::telemetry as tel;
-use matgnn::tensor::pool;
+use matgnn::tensor::{pool, Runtime};
 use matgnn::train::AdamState;
 
 /// [`System`] with an allocation-event counter (same harness as
@@ -155,7 +155,7 @@ fn main() {
         mode,
     );
 
-    let threads = pool::configured_threads();
+    let threads = pool::num_threads();
     let (params, pool_graphs, fwd_iters, sweep_n_per_sec, burst_n) = match mode {
         matgnn_bench::RunMode::Quick => (10_000, 24, 40, 1.5, 150),
         matgnn_bench::RunMode::Full => (50_000, 48, 150, 4.0, 600),
@@ -262,7 +262,7 @@ fn main() {
     );
 
     // — zero-allocation steady state (pool-of-1; recycler warmed) —
-    pool::set_thread_override(1);
+    let pool_of_1 = Runtime::current().with_threads(1).enter();
     for _ in 0..5 {
         engine.predict_raw(&single);
     }
@@ -274,7 +274,7 @@ fn main() {
     }
     let steady_allocs = ALLOC_EVENTS.load(Ordering::Relaxed) - allocs0;
     let steady_bytes = ALLOC_BYTES.load(Ordering::Relaxed) - bytes0;
-    pool::set_thread_override(0);
+    drop(pool_of_1);
     println!(
         "steady state: {steady_allocs} allocs / {steady_bytes} B over {steady_iters} requests — {}",
         if steady_allocs == 0 {

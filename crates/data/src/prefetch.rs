@@ -81,12 +81,15 @@ impl<T: Send + 'static> Prefetcher<T> {
         assert!(depth > 0, "prefetch depth must be positive");
         let (tx, rx) = std::sync::mpsc::sync_channel(depth);
         // Propagate the spawner's telemetry rank so producer-side spans
-        // (collation, shard reads) attribute to the rank they feed.
+        // (collation, shard reads) attribute to the rank they feed, and
+        // its runtime scope.
         let rank = matgnn_telemetry::rank_raw();
+        let runtime = matgnn_tensor::runtime::scope_raw();
         let handle = std::thread::Builder::new()
             .name("matgnn-prefetch".into())
             .spawn(move || {
                 matgnn_telemetry::set_rank_raw(rank);
+                let _runtime = runtime.map(matgnn_tensor::Runtime::enter);
                 let feed = Feed { tx };
                 if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
                     let _span = matgnn_telemetry::span("prefetch.producer");

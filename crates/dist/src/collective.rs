@@ -1156,6 +1156,7 @@ impl std::fmt::Debug for BucketComm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use matgnn_tensor::Runtime;
     use std::thread;
 
     /// Runs `f` on every rank of a fresh world and collects results by
@@ -1452,8 +1453,8 @@ mod tests {
 
     #[test]
     fn collectives_recycle_staging_buffers() {
-        recycler::set_enabled_override(Some(true));
         let results = run_world(2, |mut comm| {
+            let _rt = Runtime::current().with_recycler(true).enter();
             // Warm the pool, then measure a steady-state collective.
             let mut v = vec![1.0f32; 256];
             comm.all_reduce_sum(&mut v).unwrap();
@@ -1462,7 +1463,6 @@ mod tests {
             comm.all_reduce_sum(&mut w).unwrap();
             recycler::stats().delta_since(&before)
         });
-        recycler::set_enabled_override(None);
         let total_hits: u64 = results.iter().map(|d| d.hits).sum();
         assert!(
             total_hits >= 2,

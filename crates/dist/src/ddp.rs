@@ -32,7 +32,7 @@ use matgnn_data::{collate, Dataset, Normalizer, Prefetcher, Sample, Targets};
 use matgnn_graph::GraphBatch;
 use matgnn_model::GnnModel;
 use matgnn_tensor::rng::Rng;
-use matgnn_tensor::{MemoryBreakdown, MemoryCategory, MemoryTracker, Tensor};
+use matgnn_tensor::{runtime, MemoryBreakdown, MemoryCategory, MemoryTracker, Runtime, Tensor};
 use matgnn_train::{
     clip_grad_norm, latest_in, params_finite, prune_checkpoints, train_step, train_step_with_sink,
     Adam, AdamHyper, AdamState, AnomalyDetector, LossConfig, LrSchedule, Optimizer, RollbackBudget,
@@ -393,12 +393,15 @@ impl OverlapPipeline {
         let (results_tx, results_rx) = mpsc::channel::<BucketResult>();
         // The comm thread works on this rank's behalf: tag its telemetry
         // events with the spawning rank so traces attribute bucket
-        // reductions to the right process lane.
+        // reductions to the right process lane; it also adopts the
+        // rank's runtime scope.
         let telemetry_rank = matgnn_telemetry::rank_raw();
+        let runtime = runtime::scope_raw();
         let handle = std::thread::Builder::new()
             .name("matgnn-grad-comm".into())
             .spawn(move || {
                 matgnn_telemetry::set_rank_raw(telemetry_rank);
+                let _runtime = runtime.map(Runtime::enter);
                 for mut job in jobs_rx {
                     let err = match job.root {
                         None => bc.all_reduce_mean_bucket(job.id, &mut job.buf).err(),
@@ -1196,12 +1199,14 @@ where
         model: Option<M>,
     }
 
+    let runtime = runtime::scope_raw(); // every rank adopts the caller's scope
     let outcomes: Vec<RankOutcome<M>> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for comm in comms {
             let proto = &proto;
             let train = &train;
             handles.push(scope.spawn(move || {
+                let _runtime = runtime.map(Runtime::enter);
                 let launch_rank = comm.rank();
                 matgnn_telemetry::set_rank(launch_rank);
                 let tracker = MemoryTracker::new();

@@ -165,12 +165,16 @@ enum RankOutcome {
 pub fn train_graphpar(cfg: &GraphParConfig) -> GraphParReport {
     let start = std::time::Instant::now();
     let comms = Communicator::create_with_timeout(cfg.world, cfg.cost, cfg.comm_timeout);
+    let runtime = matgnn_tensor::runtime::scope_raw(); // every rank adopts the caller's scope
     let outcomes: Vec<Option<RankOutcome>> = thread::scope(|scope| {
         let handles: Vec<_> = comms
             .into_iter()
             .map(|comm| {
                 let cfg = cfg.clone();
-                scope.spawn(move || run_rank(&cfg, comm))
+                scope.spawn(move || {
+                    let _runtime = runtime.map(matgnn_tensor::Runtime::enter);
+                    run_rank(&cfg, comm)
+                })
             })
             .collect();
         handles

@@ -147,10 +147,12 @@ impl Watchdog {
             .min(Duration::from_millis(50))
             .max(Duration::from_millis(1));
         let telemetry_rank = matgnn_telemetry::rank_raw();
+        let runtime = matgnn_tensor::runtime::scope_raw();
         let handle = std::thread::Builder::new()
             .name(format!("matgnn-watchdog-{label}"))
             .spawn(move || {
                 matgnn_telemetry::set_rank_raw(telemetry_rank);
+                let _runtime = runtime.map(matgnn_tensor::Runtime::enter);
                 loop {
                     if stop_flag.load(Ordering::Acquire) || beat.is_done() {
                         return;

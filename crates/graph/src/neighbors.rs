@@ -306,6 +306,7 @@ mod tests {
     use super::*;
     use crate::Element;
     use matgnn_tensor::rng::Rng;
+    use matgnn_tensor::Runtime;
 
     fn random_molecule(n: usize, extent: f64, seed: u64) -> AtomicStructure {
         let mut rng = Rng::seed_from_u64(seed);
@@ -393,13 +394,14 @@ mod tests {
     fn cell_list_matches_brute_force_under_pool_of_4() {
         // The parallel scan must reproduce the serial build bit for bit:
         // per-atom runs are concatenated in atom order before the sort.
-        pool::set_thread_override(4);
+        let build_on = |threads, s: &AtomicStructure, cutoff| {
+            let _rt = Runtime::current().with_threads(threads).enter();
+            NeighborList::build(s, cutoff)
+        };
         for seed in 0..5 {
             let open = random_molecule(200, 7.0, seed);
-            let a = NeighborList::build(&open, 1.8);
-            pool::set_thread_override(1);
-            let serial = NeighborList::build(&open, 1.8);
-            pool::set_thread_override(4);
+            let a = build_on(4, &open, 1.8);
+            let serial = build_on(1, &open, 1.8);
             assert_eq!(a, serial, "open seed {seed}: parallel != serial");
             assert_eq!(
                 a,
@@ -408,10 +410,8 @@ mod tests {
             );
 
             let per = random_periodic(220, 12.0, seed);
-            let a = NeighborList::build(&per, 3.0);
-            pool::set_thread_override(1);
-            let serial = NeighborList::build(&per, 3.0);
-            pool::set_thread_override(4);
+            let a = build_on(4, &per, 3.0);
+            let serial = build_on(1, &per, 3.0);
             assert_eq!(a, serial, "periodic seed {seed}: parallel != serial");
             assert_eq!(
                 a,
@@ -419,7 +419,6 @@ mod tests {
                 "periodic seed {seed}"
             );
         }
-        pool::set_thread_override(0);
     }
 
     #[test]

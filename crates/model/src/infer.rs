@@ -630,7 +630,7 @@ fn apply_in_place(act: Activation, t: &mut Tensor) {
 mod tests {
     use super::*;
     use matgnn_graph::{AtomicStructure, Element, MolGraph};
-    use matgnn_tensor::{pool, Tape};
+    use matgnn_tensor::{Runtime, Tape};
 
     /// A deterministic little batch of two molecules.
     fn test_batch() -> GraphBatch {
@@ -720,11 +720,12 @@ mod tests {
         let model = Egnn::new(EgnnConfig::new(16, 3).with_rbf(8));
         let frozen = FrozenEgnn::freeze(&model);
         let batch = test_batch();
-        pool::set_thread_override(1);
-        let (e1, f1) = frozen.predict(&batch);
-        pool::set_thread_override(4);
-        let (e4, f4) = frozen.predict(&batch);
-        pool::set_thread_override(0);
+        let predict_on = |threads| {
+            let _rt = Runtime::current().with_threads(threads).enter();
+            frozen.predict(&batch)
+        };
+        let (e1, f1) = predict_on(1);
+        let (e4, f4) = predict_on(4);
         assert_eq!(e1, e4, "energy not pool-size invariant");
         assert_eq!(f1, f4, "forces not pool-size invariant");
     }

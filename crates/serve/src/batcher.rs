@@ -190,12 +190,16 @@ impl DynamicBatcher {
             shutdown: AtomicBool::new(false),
             live_workers: AtomicUsize::new(cfg.workers),
         });
+        let runtime = matgnn_tensor::runtime::scope_raw(); // workers adopt the starter's scope
         let workers = (0..cfg.workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(move || {
+                        let _runtime = runtime.map(matgnn_tensor::Runtime::enter);
+                        worker_loop(&shared)
+                    })
                     .expect("spawn serving worker")
             })
             .collect();

@@ -1,24 +1,12 @@
 //! Engine-vs-tape parity on checkpoints round-tripped through MGTC
 //! save/load, swept across SIMD tiers and worker-pool sizes.
-//!
-//! The SIMD-tier and pool overrides are process-global, so every test
-//! that touches them holds [`OVERRIDE_LOCK`] and restores the defaults
-//! before releasing it.
-
-use std::sync::{Mutex, MutexGuard};
 
 use matgnn_data::Normalizer;
 use matgnn_graph::{AtomicStructure, Element, GraphBatch, MolGraph};
 use matgnn_model::{Egnn, EgnnConfig, GnnModel, ParamSet};
 use matgnn_serve::InferenceEngine;
-use matgnn_tensor::{pool, simd, Tape};
+use matgnn_tensor::{simd, Runtime, Tape};
 use matgnn_train::{AdamState, TrainCheckpoint};
-
-static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Tolerance for frozen-vs-tape parity: the frozen forward regroups the
 /// concat matmul accumulations, so outputs agree to rounding, not bits.
@@ -111,7 +99,6 @@ fn configs() -> Vec<EgnnConfig> {
 
 #[test]
 fn roundtripped_engine_matches_tape_across_simd_tiers() {
-    let _guard = lock();
     let batch = test_batch();
     for config in configs() {
         let model = Egnn::new(config);
@@ -122,7 +109,7 @@ fn roundtripped_engine_matches_tape_across_simd_tiers() {
             simd::SimdTier::Avx2,
             simd::SimdTier::Avx512,
         ] {
-            simd::set_simd_override(Some(tier));
+            let _rt = Runtime::current().with_simd(tier).enter();
             let (te, tf) = tape_forward(&model, &batch);
             let (fe, ff) = engine.predict_raw(&batch);
             assert!(
@@ -133,7 +120,6 @@ fn roundtripped_engine_matches_tape_across_simd_tiers() {
             );
             per_tier.push((tier, fe, ff));
         }
-        simd::set_simd_override(None);
         // Vector tiers clamp to hardware, so any two resolved tiers must
         // stay within transcendental-kernel rounding of each other.
         let (_, e0, f0) = &per_tier[0];
@@ -149,26 +135,25 @@ fn roundtripped_engine_matches_tape_across_simd_tiers() {
 
 #[test]
 fn roundtripped_engine_is_bitwise_across_pool_sizes() {
-    let _guard = lock();
     let batch = test_batch();
     for config in configs() {
         let model = Egnn::new(config);
         let engine = roundtrip(&model, "pools");
-        pool::set_thread_override(1);
-        let (e1, f1) = engine.predict_raw(&batch);
+        let predict_on = |threads| {
+            let _rt = Runtime::current().with_threads(threads).enter();
+            engine.predict_raw(&batch)
+        };
+        let (e1, f1) = predict_on(1);
         for threads in [2, 4] {
-            pool::set_thread_override(threads);
-            let (e, f) = engine.predict_raw(&batch);
+            let (e, f) = predict_on(threads);
             assert_eq!(e1, e, "energies drift at pool {threads}");
             assert_eq!(f1, f, "forces drift at pool {threads}");
         }
-        pool::set_thread_override(0);
     }
 }
 
 #[test]
 fn roundtripped_engine_is_bitwise_vs_direct_freeze() {
-    let _guard = lock();
     let batch = test_batch();
     for config in configs() {
         let model = Egnn::new(config);

@@ -11,7 +11,7 @@
 //! The authoritative gate lives in `exp_kernels`; this is a tuning aid.
 
 use matgnn_tensor::rng::Rng;
-use matgnn_tensor::{pool, simd, Tensor};
+use matgnn_tensor::{simd, Runtime, Tensor};
 use std::time::Instant;
 
 fn best_ms(reps: usize, mut f: impl FnMut() -> Tensor) -> f64 {
@@ -35,23 +35,21 @@ fn main() {
     let a = Tensor::randn((n, n), 1.0, &mut rng);
     let b = Tensor::randn((n, n), 1.0, &mut rng);
 
-    pool::set_thread_override(1);
-    simd::set_simd_override(Some(simd::SimdTier::Scalar));
-    let scalar = best_ms(reps, || a.matmul(&b));
+    let single = Runtime::current().with_threads(1);
+    let scalar = {
+        let _rt = single.with_simd(simd::SimdTier::Scalar).enter();
+        best_ms(reps, || a.matmul(&b))
+    };
     let mut line = format!("matmul {n}^3 scalar {scalar:8.3} ms");
-    for (tier, avail) in [
-        (simd::SimdTier::Avx2, simd::avx2_available()),
-        (simd::SimdTier::Avx512, simd::avx512_available()),
-    ] {
-        if !avail {
+    let hardware = Runtime::hardware().simd;
+    for tier in [simd::SimdTier::Avx2, simd::SimdTier::Avx512] {
+        if tier > hardware {
             continue;
         }
-        simd::set_simd_override(Some(tier));
+        let _rt = single.with_simd(tier).enter();
         let t = best_ms(reps, || a.matmul(&b));
         let gf = 2.0 * (n as f64).powi(3) / (t * 1e6);
         line += &format!("   {tier} {t:8.3} ms ({:.2}x, {gf:.1} Gflop/s)", scalar / t);
     }
-    simd::set_simd_override(None);
-    pool::set_thread_override(0);
     println!("{line}");
 }

@@ -41,6 +41,7 @@ mod memory;
 pub mod pool;
 pub mod recycler;
 pub mod rng;
+pub mod runtime;
 mod shape;
 pub mod simd;
 mod tape;
@@ -48,6 +49,7 @@ mod tensor;
 
 pub use error::TensorError;
 pub use memory::{format_bytes, MemoryBreakdown, MemoryCategory, MemorySnapshot, MemoryTracker};
+pub use runtime::{Runtime, RuntimeScope};
 pub use shape::Shape;
 pub use tape::{Gradients, Tape, Var};
 pub use tensor::Tensor;

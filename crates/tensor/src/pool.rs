@@ -7,12 +7,14 @@
 //!
 //! ## Sizing
 //!
-//! The pool size is resolved lazily, in order of precedence:
+//! Kernels split work for [`num_threads`], resolved per thread (each job
+//! runs under its submitter's [`Runtime`]) in order of precedence:
 //!
-//! 1. [`set_thread_override`] (tests and benchmarks; may exceed the core
-//!    count to exercise the parallel paths on small CI machines),
-//! 2. the `MATGNN_THREADS` environment variable,
-//! 3. [`std::thread::available_parallelism`].
+//! 1. a [`Runtime`] scope on the thread (tests and benchmarks; may exceed
+//!    the core count to exercise the parallel paths on small machines),
+//! 2. [`set_thread_override`], the process default's pool size,
+//! 3. the `MATGNN_THREADS` environment variable,
+//! 4. [`std::thread::available_parallelism`].
 //!
 //! ## Determinism
 //!
@@ -42,6 +44,8 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
+use crate::runtime::{self, Runtime};
+
 /// Locks ignoring poisoning: a panicked chunk is already carried to the
 /// submitter through the job's panic slot, so the lock's own poison bit
 /// adds nothing.
@@ -49,54 +53,14 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Hard ceiling on pool size, guarding against pathological env values.
-const MAX_THREADS: usize = 256;
-
-/// Test/bench override; 0 means "not set".
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Resolved `MATGNN_THREADS` / `available_parallelism` value.
-static CONFIGURED: OnceLock<usize> = OnceLock::new();
-
-/// The pool size from the environment: `MATGNN_THREADS` if set to a
-/// positive integer, otherwise [`std::thread::available_parallelism`].
-pub fn configured_threads() -> usize {
-    *CONFIGURED.get_or_init(|| {
-        let from_env = std::env::var("MATGNN_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1);
-        from_env
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1)
-            })
-            .min(MAX_THREADS)
-    })
-}
-
-/// The pool size kernels should split work for: the programmatic override
-/// if one is active, otherwise [`configured_threads`].
+/// The pool size kernels on this thread split work for: the `threads`
+/// of [`Runtime::current`].
+#[inline]
 pub fn num_threads() -> usize {
-    match THREAD_OVERRIDE.load(Ordering::Relaxed) {
-        0 => configured_threads(),
-        n => n,
-    }
+    Runtime::current().threads
 }
 
-/// Overrides the pool size for this process (0 clears the override and
-/// returns to the environment-derived size).
-///
-/// Intended for benchmarks and determinism tests, which need to time or
-/// compare the same kernel at several thread counts inside one process.
-/// The override may exceed the physical core count; workers are spawned
-/// on demand. Because every kernel is bitwise deterministic across thread
-/// counts, racing overrides from concurrent tests affect speed only,
-/// never results.
-pub fn set_thread_override(n: usize) {
-    THREAD_OVERRIDE.store(n.min(MAX_THREADS), Ordering::Relaxed);
-}
+pub use crate::runtime::set_thread_override;
 
 /// Lifetime totals of pool activity, absorbed into the telemetry
 /// registry by [`publish_telemetry`]. Relaxed atomics: these are
@@ -135,6 +99,9 @@ struct ActiveJob {
     /// draining this job so their spans attribute to the logical rank
     /// that asked for the work (the pool is shared across DDP ranks).
     rank: i64,
+    /// Runtime scope of the submitting thread, adopted the same way, so
+    /// chunks dispatch to the submitter's SIMD tier and recycler setting.
+    runtime: Option<Runtime>,
 }
 
 // SAFETY: the raw fn pointer targets a `Sync` closure that the submitting
@@ -216,6 +183,7 @@ fn drain_chunks(shared: &Shared, job: &ActiveJob) {
     // Attribute any spans emitted inside chunks to the submitting rank
     // (a no-op for the submitter itself, which already carries it).
     let _rank = matgnn_telemetry::RankScope::adopt(job.rank);
+    let _runtime = job.runtime.map(Runtime::enter);
     // SAFETY: the submitter keeps the closure alive until `done` reaches
     // `n_chunks`, which cannot happen before every claimed ticket (ours
     // included) has finished executing.
@@ -257,6 +225,7 @@ fn run_on_pool(n_chunks: usize, threads: usize, f: &(dyn Fn(usize) + Sync)) {
         done: Arc::new(AtomicUsize::new(0)),
         panic: Arc::new(Mutex::new(None)),
         rank: matgnn_telemetry::rank_raw(),
+        runtime: runtime::scope_raw(),
     };
     {
         let mut slot = lock(&pool.shared.slot);
@@ -478,12 +447,11 @@ mod tests {
 
     #[test]
     fn parallel_for_covers_every_chunk_exactly_once() {
-        set_thread_override(4);
+        let _rt = Runtime::current().with_threads(4).enter();
         let hits: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
         parallel_for(64, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
-        set_thread_override(0);
         for (i, h) in hits.iter().enumerate() {
             assert_eq!(h.load(Ordering::Relaxed), 1, "chunk {i} ran wrong count");
         }
@@ -491,14 +459,13 @@ mod tests {
 
     #[test]
     fn for_each_chunk_mut_writes_disjoint_ranges() {
-        set_thread_override(3);
+        let _rt = Runtime::current().with_threads(3).enter();
         let mut data = vec![0.0f32; 97];
         for_each_chunk_mut(&mut data, 1, |start, chunk| {
             for (k, x) in chunk.iter_mut().enumerate() {
                 *x = (start + k) as f32;
             }
         });
-        set_thread_override(0);
         for (i, &x) in data.iter().enumerate() {
             assert_eq!(x, i as f32);
         }
@@ -506,26 +473,24 @@ mod tests {
 
     #[test]
     fn pool_reuses_workers_across_many_small_jobs() {
-        set_thread_override(2);
+        let _rt = Runtime::current().with_threads(2).enter();
         let counter = AtomicUsize::new(0);
         for _ in 0..200 {
             parallel_for(4, |_| {
                 counter.fetch_add(1, Ordering::Relaxed);
             });
         }
-        set_thread_override(0);
         assert_eq!(counter.load(Ordering::Relaxed), 800);
     }
 
     #[test]
     fn panics_inside_chunks_propagate_to_the_caller() {
-        set_thread_override(2);
+        let _rt = Runtime::current().with_threads(2).enter();
         let result = std::panic::catch_unwind(|| {
             parallel_for(8, |i| {
                 assert!(i != 5, "boom at chunk 5");
             });
         });
-        set_thread_override(0);
         assert!(result.is_err(), "panic was swallowed by the pool");
     }
 }

@@ -28,13 +28,16 @@
 //!   logical byte accounting is done by the tape/optimizer at the same
 //!   points as before, so Fig. 6-style memory profiles are unchanged.
 //!
-//! The recycler is on by default; set `MATGNN_RECYCLER=off` (or `0`) to
-//! fall back to plain allocation, or call [`set_enabled_override`] from
-//! tests and benchmarks. Results are bitwise identical either way: every
+//! Whether a thread recycles is the `recycler` of its
+//! [`Runtime`], resolved in order of precedence: a [`Runtime`] scope on
+//! the thread (tests and benchmarks), then `MATGNN_RECYCLER=off|on`,
+//! read once, then on. Results are bitwise identical either way: every
 //! recycled buffer is fully re-initialised before a kernel reads it.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+
+use crate::runtime::Runtime;
 
 /// Number of power-of-two capacity classes (class `b` holds capacities in
 /// `[2^b, 2^(b+1))`). 40 classes cover buffers up to ~4 TiB of `f32`s.
@@ -104,42 +107,11 @@ fn buckets() -> &'static Mutex<Buckets> {
     BUCKETS.get_or_init(|| Mutex::new(vec![Vec::new(); NUM_BUCKETS]))
 }
 
-/// `0` = follow the environment, `1` = forced on, `2` = forced off.
-static OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-fn env_enabled() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        !matches!(
-            std::env::var("MATGNN_RECYCLER").as_deref(),
-            Ok("off") | Ok("0") | Ok("false")
-        )
-    })
-}
-
-/// Whether buffer recycling is currently active.
-///
-/// Resolves, in order: a programmatic [`set_enabled_override`], then the
-/// `MATGNN_RECYCLER` environment variable (anything but `off`/`0`/`false`
-/// — including unset — means on).
+/// Whether buffer recycling is active on this thread: the `recycler` of
+/// [`Runtime::current`].
+#[inline]
 pub fn enabled() -> bool {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => env_enabled(),
-    }
-}
-
-/// Forces the recycler on (`Some(true)`), off (`Some(false)`), or back to
-/// the environment default (`None`). For tests and benchmarks; affects
-/// allocation traffic only, never numeric results.
-pub fn set_enabled_override(mode: Option<bool>) {
-    let v = match mode {
-        Some(true) => 1,
-        Some(false) => 2,
-        None => 0,
-    };
-    OVERRIDE.store(v, Ordering::Relaxed);
+    Runtime::current().recycler
 }
 
 /// Capacity class that *stores* a buffer of capacity `cap` (floor log2).
@@ -254,15 +226,6 @@ pub fn pooled_buffers() -> usize {
         .sum()
 }
 
-/// Serialises the unit tests that flip [`set_enabled_override`]: the
-/// override and the counters are process-wide, and the test runner runs
-/// tests on parallel threads of one process.
-#[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Drops every pooled buffer (benchmark hygiene between legs).
 pub fn clear() {
     for bucket in buckets().lock().expect("recycler lock").iter_mut() {
@@ -274,47 +237,38 @@ pub fn clear() {
 mod tests {
     use super::*;
 
-    /// Tests share the process-wide pool with the rest of the suite, so
-    /// every assertion here is delta-based.
-    fn snap() -> RecyclerStats {
-        stats()
-    }
+    // Tests share the process-wide pool and counters with concurrently
+    // running tests, so every assertion here is a monotone counter delta
+    // or a property of this thread's own buffers.
 
     #[test]
     fn acquire_release_roundtrip_reuses_the_allocation() {
-        let _serial = test_lock();
-        set_enabled_override(Some(true));
+        let _rt = Runtime::current().with_recycler(true).enter();
         let buf = acquire(1000);
         assert!(buf.capacity() >= 1000);
-        let ptr = buf.as_ptr();
         release(buf);
         let again = acquire(1000);
         // Not guaranteed to be the *same* buffer under concurrent tests,
         // but capacity and emptiness invariants always hold.
         assert!(again.is_empty() && again.capacity() >= 1000);
-        let _ = ptr;
         release(again);
-        set_enabled_override(None);
     }
 
     #[test]
     fn shared_handles_are_rejected() {
-        let _serial = test_lock();
-        set_enabled_override(Some(true));
+        let _rt = Runtime::current().with_recycler(true).enter();
         let a = Arc::new(vec![0.0f32; 64]);
         let held = Arc::clone(&a);
-        let before = snap();
+        let before = stats();
         release(a);
-        let after = snap();
+        let after = stats();
         assert!(after.rejected > before.rejected);
         assert_eq!(held.len(), 64, "live clone untouched");
-        set_enabled_override(None);
     }
 
     #[test]
     fn double_return_is_poisoned_not_pooled_twice() {
-        let _serial = test_lock();
-        set_enabled_override(Some(true));
+        let _rt = Runtime::current().with_recycler(true).enter();
         // Manufacture the invalid state a refcount bug would produce: two
         // unique-looking handles to one allocation. `into_raw` leaves the
         // strong count at 1; exactly one of the two reconstructed handles
@@ -323,40 +277,32 @@ mod tests {
         let raw = Arc::into_raw(Arc::new(vec![0.0f32; 4096]));
         let first = unsafe { Arc::from_raw(raw) };
         let dup = unsafe { Arc::from_raw(raw) };
-        let before = snap();
+        let before = stats();
         release(first);
         release(dup);
-        let after = snap();
+        let after = stats();
         assert!(after.released > before.released);
         assert!(
             after.poisoned > before.poisoned,
             "second return of the same buffer must be detected"
         );
-        set_enabled_override(None);
     }
 
     #[test]
     fn zero_capacity_buffers_are_not_pooled() {
-        let _serial = test_lock();
-        set_enabled_override(Some(true));
-        let before = snap();
+        let _rt = Runtime::current().with_recycler(true).enter();
         release(Arc::new(Vec::new()));
-        let after = snap();
-        assert_eq!(after.released, before.released);
-        set_enabled_override(None);
+        // Pooled, it would be served for a one-element request.
+        assert!(acquire(1).capacity() >= 1);
     }
 
     #[test]
     fn disabled_recycler_allocates_fresh() {
-        let _serial = test_lock();
-        set_enabled_override(Some(false));
-        let before = snap();
-        let buf = acquire(512);
+        let _rt = Runtime::current().with_recycler(false).enter();
+        // Recycled and recyclable buffers have power-of-two capacities.
+        let buf = acquire(513);
+        assert_eq!(buf.capacity(), 513);
         release(buf);
-        let after = snap();
-        assert_eq!(after.hits, before.hits);
-        assert_eq!(after.released, before.released);
-        set_enabled_override(None);
     }
 
     #[test]
@@ -381,13 +327,11 @@ mod tests {
 
     #[test]
     fn cross_thread_reuse_is_safe() {
-        let _serial = test_lock();
-        set_enabled_override(Some(true));
-        crate::pool::set_thread_override(4);
-        let before = snap();
+        let before = stats();
         let handles: Vec<_> = (0..4)
             .map(|t| {
                 std::thread::spawn(move || {
+                    let _rt = Runtime::current().with_recycler(true).enter();
                     for i in 0..200 {
                         let mut buf = acquire(768);
                         let v = Arc::get_mut(&mut buf).expect("unique");
@@ -401,14 +345,11 @@ mod tests {
         for h in handles {
             h.join().expect("worker panicked");
         }
-        let after = snap();
+        let after = stats();
         let d = after.delta_since(&before);
         assert!(
             d.hits > 0,
             "4 threads × 200 round-trips must hit the free list"
         );
-        assert_eq!(d.poisoned, 0);
-        crate::pool::set_thread_override(0);
-        set_enabled_override(None);
     }
 }

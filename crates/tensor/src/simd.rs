@@ -21,17 +21,18 @@
 //!
 //! ## Tier selection
 //!
-//! Resolved once per process, in order of precedence:
+//! Resolved per thread ([`Runtime`]), in order of precedence:
 //!
-//! 1. [`set_simd_override`] (tests and benchmarks),
-//! 2. the `MATGNN_SIMD` environment variable (`off`/`scalar` forces the
-//!    portable tier, `avx2` / `avx512` requests a vector tier, `auto`
-//!    detects),
+//! 1. a [`Runtime`] scope on the thread (tests and benchmarks),
+//! 2. the `MATGNN_SIMD` environment variable, read once (`off`/`scalar`
+//!    forces the portable tier, `avx2` / `avx512` requests a vector
+//!    tier, `auto` detects),
 //! 3. feature detection: AVX-512F if present, else AVX2 + FMA.
 //!
 //! A request for a vector tier on hardware without it falls back to the
-//! best supported tier with a one-time warning — the process never
-//! dispatches an instruction the CPU cannot execute.
+//! best supported tier when the scope is entered or the environment is
+//! read (the latter with a warning) — the process never dispatches an
+//! instruction the CPU cannot execute.
 //!
 //! ## Determinism contract
 //!
@@ -49,17 +50,19 @@
 //!
 //! *Across tiers*, results agree to tight tolerance but not bitwise: FMA
 //! contracts the multiply-add rounding step, and the AVX2 `exp` family
-//! uses a ≈1-ulp polynomial instead of libm. All ranks of a run share one
-//! process-wide tier, so checkpoints, supervisor rollback and DDP replica
+//! uses a ≈1-ulp polynomial instead of libm. Every thread of a run inherits
+//! one tier, so checkpoints, supervisor rollback and DDP replica
 //! consistency — all within-run, within-tier properties — are unaffected.
 //! Cross-tier parity is asserted (tolerance + gradcheck) in
 //! `tests/simd_parity.rs` and the `exp_kernels` bench.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::runtime::Runtime;
 
 /// A compute tier: which instruction set the inner kernels run on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Ordered by capability: a CPU that runs a tier runs every lower one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdTier {
     /// Portable scalar Rust — the deterministic reference implementation.
     Scalar,
@@ -113,8 +116,8 @@ pub fn avx512_available() -> bool {
     }
 }
 
-/// Best tier the hardware supports.
-fn detected_tier() -> SimdTier {
+/// Best tier the hardware supports; every lower tier is supported too.
+pub(crate) fn detected_tier() -> SimdTier {
     if avx512_available() {
         SimdTier::Avx512
     } else if avx2_available() {
@@ -124,78 +127,11 @@ fn detected_tier() -> SimdTier {
     }
 }
 
-/// Clamp a requested tier to what the hardware can execute.
-fn clamp_to_hardware(tier: SimdTier) -> SimdTier {
-    match tier {
-        SimdTier::Avx512 if !avx512_available() => clamp_to_hardware(SimdTier::Avx2),
-        SimdTier::Avx2 if !avx2_available() => SimdTier::Scalar,
-        t => t,
-    }
-}
-
-/// Test/bench override; 0 = none, 1 = Scalar, 2 = Avx2, 3 = Avx512.
-static TIER_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Resolved `MATGNN_SIMD` / hardware-detect tier.
-static CONFIGURED: OnceLock<SimdTier> = OnceLock::new();
-
-/// The tier from the environment: `MATGNN_SIMD` if set (`off`/`scalar`,
-/// `avx2`, `avx512`, `auto`), otherwise the best tier the hardware
-/// supports.
-pub fn configured_tier() -> SimdTier {
-    *CONFIGURED.get_or_init(
-        || match std::env::var("MATGNN_SIMD").ok().as_deref().map(str::trim) {
-            None | Some("") | Some("auto") | Some("on") => detected_tier(),
-            Some("off") | Some("scalar") | Some("0") => SimdTier::Scalar,
-            Some(req @ ("avx2" | "avx512")) => {
-                let want = if req == "avx2" {
-                    SimdTier::Avx2
-                } else {
-                    SimdTier::Avx512
-                };
-                let got = clamp_to_hardware(want);
-                if got != want {
-                    eprintln!(
-                        "matgnn: MATGNN_SIMD={req} requested but not supported by this \
-                         CPU; falling back to the {got} tier"
-                    );
-                }
-                got
-            }
-            Some(other) => {
-                eprintln!("matgnn: unknown MATGNN_SIMD value {other:?}; using auto-detect");
-                detected_tier()
-            }
-        },
-    )
-}
-
-/// The tier kernels dispatch to: the programmatic override if one is
-/// active, otherwise [`configured_tier`].
+/// The tier kernels on this thread dispatch to: the `simd` of
+/// [`Runtime::current`], never above what this CPU supports.
+#[inline]
 pub fn active_tier() -> SimdTier {
-    match TIER_OVERRIDE.load(Ordering::Relaxed) {
-        1 => SimdTier::Scalar,
-        2 => clamp_to_hardware(SimdTier::Avx2),
-        3 => clamp_to_hardware(SimdTier::Avx512),
-        _ => configured_tier(),
-    }
-}
-
-/// Overrides the dispatched tier for this process (`None` clears the
-/// override and returns to the environment-derived tier).
-///
-/// Intended for parity tests and benchmarks, which need to compare the
-/// same kernel on several tiers inside one process. A vector-tier
-/// override on hardware without that instruction set silently resolves
-/// to the best supported tier, so tier-sweep tests are portable.
-pub fn set_simd_override(tier: Option<SimdTier>) {
-    let v = match tier {
-        None => 0,
-        Some(SimdTier::Scalar) => 1,
-        Some(SimdTier::Avx2) => 2,
-        Some(SimdTier::Avx512) => 3,
-    };
-    TIER_OVERRIDE.store(v, Ordering::Relaxed);
+    Runtime::current().simd
 }
 
 // ----------------------------------------------------------------------
@@ -332,12 +268,14 @@ macro_rules! dispatch {
         match active_tier() {
             SimdTier::Scalar => $scalar,
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `active_tier()` only returns `Avx2` when
+            // SAFETY: every `Runtime` a thread can hold was clamped to
+            // `detected_tier()` when its scope was entered or the
+            // environment was read, so `Avx2` means
             // `is_x86_feature_detected!` confirmed AVX2 and FMA.
             SimdTier::Avx2 => unsafe { $avx2 },
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `active_tier()` only returns `Avx512` when
-            // `is_x86_feature_detected!` confirmed AVX-512F (and AVX2+FMA).
+            // SAFETY: as above, `Avx512` means `is_x86_feature_detected!`
+            // confirmed AVX-512F (and AVX2+FMA).
             SimdTier::Avx512 => unsafe { $avx512 },
             #[cfg(not(target_arch = "x86_64"))]
             SimdTier::Avx2 | SimdTier::Avx512 => $scalar,
@@ -1973,19 +1911,11 @@ mod avx512 {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
-    /// Serializes tests that flip the process-wide tier override so they
-    /// cannot race each other on the parallel test runner.
-    static TIER_LOCK: Mutex<()> = Mutex::new(());
-
-    /// Runs `f` with the tier forced, restoring auto-detect after.
+    /// Runs `f` on this thread with the tier forced.
     fn with_tier<T>(tier: SimdTier, f: impl FnOnce() -> T) -> T {
-        let _guard = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_simd_override(Some(tier));
-        let out = f();
-        set_simd_override(None);
-        out
+        let _rt = Runtime::current().with_simd(tier).enter();
+        f()
     }
 
     #[test]

@@ -1242,8 +1242,7 @@ mod tests {
 
     #[test]
     fn gradcheck_through_in_place_backward_with_recycler_on() {
-        let _serial = crate::recycler::test_lock();
-        crate::recycler::set_enabled_override(Some(true));
+        let _rt = crate::Runtime::current().with_recycler(true).enter();
         let mut rng = Rng::seed_from_u64(23);
         let x = Tensor::randn((4, 5), 0.7, &mut rng);
         // Run twice so the second pass reads recycled buffers throughout.
@@ -1259,18 +1258,17 @@ mod tests {
                 2e-2,
             );
         }
-        crate::recycler::set_enabled_override(None);
     }
 
     #[test]
     fn backward_is_bitwise_identical_recycler_on_vs_off() {
-        let _serial = crate::recycler::test_lock();
-        crate::recycler::set_enabled_override(Some(false));
-        let fresh = fanout_grad_bits();
-        crate::recycler::set_enabled_override(Some(true));
+        let fresh = {
+            let _off = crate::Runtime::current().with_recycler(false).enter();
+            fanout_grad_bits()
+        };
+        let _on = crate::Runtime::current().with_recycler(true).enter();
         let warm1 = fanout_grad_bits(); // populates the free list
         let warm2 = fanout_grad_bits(); // runs on recycled buffers
-        crate::recycler::set_enabled_override(None);
         assert_eq!(fresh, warm1);
         assert_eq!(fresh, warm2);
     }

@@ -1514,8 +1514,7 @@ mod tests {
 
     #[test]
     fn recycled_construction_is_bitwise_identical() {
-        let _serial = crate::recycler::test_lock();
-        crate::recycler::set_enabled_override(Some(true));
+        let _rt = crate::Runtime::current().with_recycler(true).enter();
         let mut rng = Rng::seed_from_u64(5);
         let a = Tensor::randn((37, 19), 1.0, &mut rng);
         let b = Tensor::randn((19, 23), 1.0, &mut rng);
@@ -1527,19 +1526,16 @@ mod tests {
         }
         let reused = a.matmul(&b);
         assert_eq!(fresh, reused);
-        crate::recycler::set_enabled_override(None);
     }
 
     #[test]
     fn recycle_is_refused_while_shared() {
-        let _serial = crate::recycler::test_lock();
-        crate::recycler::set_enabled_override(Some(true));
+        let _rt = crate::Runtime::current().with_recycler(true).enter();
         let t = Tensor::full((9, 9), 3.0);
         let keep = t.clone();
         t.recycle(); // shared with `keep`: rejected, data stays live
         assert_eq!(keep.data(), &[3.0; 81]);
         keep.recycle(); // now unique: accepted
-        crate::recycler::set_enabled_override(None);
     }
 
     /// Every in-place eval-path op must equal its out-of-place namesake

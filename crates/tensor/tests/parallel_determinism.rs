@@ -8,14 +8,12 @@
 //! correctness when the backward pass runs through the parallel paths.
 
 use matgnn_tensor::rng::Rng;
-use matgnn_tensor::{gradcheck, pool, Tensor};
+use matgnn_tensor::{gradcheck, pool, Runtime, Tensor};
 
-/// Runs `f` with the pool forced to `n` workers, restoring the default after.
+/// Runs `f` on this thread with the pool forced to `n` workers.
 fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    pool::set_thread_override(n);
-    let out = f();
-    pool::set_thread_override(0);
-    out
+    let _rt = Runtime::current().with_threads(n).enter();
+    f()
 }
 
 fn bits(t: &Tensor) -> Vec<u32> {

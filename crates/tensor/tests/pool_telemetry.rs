@@ -17,7 +17,7 @@ fn pool_chunks_attribute_to_submitter_rank() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     telemetry::init(&dir).unwrap();
-    matgnn_tensor::pool::set_thread_override(2);
+    let _rt = matgnn_tensor::Runtime::current().with_threads(2).enter();
     telemetry::set_rank(5);
 
     // A two-party barrier forces the two chunks onto two distinct
@@ -30,7 +30,6 @@ fn pool_chunks_attribute_to_submitter_rank() {
     });
 
     telemetry::clear_rank();
-    matgnn_tensor::pool::set_thread_override(0);
     telemetry::shutdown();
 
     let lines = std::fs::read_to_string(dir.join("events-rank5.jsonl")).unwrap();

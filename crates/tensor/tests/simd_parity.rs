@@ -24,32 +24,20 @@
 //! AVX-512 the tier list shrinks and the tests cover what's left.
 
 use matgnn_tensor::rng::Rng;
-use matgnn_tensor::{gradcheck, pool, simd, Tensor};
-use std::sync::Mutex;
+use matgnn_tensor::{gradcheck, simd, Runtime, Tensor};
 
-/// Serializes tests that flip the process-wide tier override so they
-/// cannot race each other on the parallel test runner.
-static TIER_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs `f` with the tier forced, restoring auto-detect after.
+/// Runs `f` on this thread with the tier forced.
 fn with_tier<T>(tier: simd::SimdTier, f: impl FnOnce() -> T) -> T {
-    let _guard = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    simd::set_simd_override(Some(tier));
-    let out = f();
-    simd::set_simd_override(None);
-    out
+    let _rt = Runtime::current().with_simd(tier).enter();
+    f()
 }
 
 /// Every tier this host can execute (always at least Scalar).
-fn tiers() -> Vec<simd::SimdTier> {
-    let mut t = vec![simd::SimdTier::Scalar];
-    if simd::avx2_available() {
-        t.push(simd::SimdTier::Avx2);
-    }
-    if simd::avx512_available() {
-        t.push(simd::SimdTier::Avx512);
-    }
-    t
+fn tiers() -> impl Iterator<Item = simd::SimdTier> {
+    use simd::SimdTier::{Avx2, Avx512, Scalar};
+    [Scalar, Avx2, Avx512]
+        .into_iter()
+        .filter(|&t| t <= Runtime::hardware().simd)
 }
 
 fn bits(t: &Tensor) -> Vec<u32> {
@@ -223,9 +211,8 @@ fn kernels_bitwise_invariant_to_pool_size_within_each_tier() {
             };
             let mut per_size = Vec::new();
             for threads in [1usize, 2, 4] {
-                pool::set_thread_override(threads);
+                let _rt = Runtime::current().with_threads(threads).enter();
                 per_size.push(run());
-                pool::set_thread_override(0);
             }
             for later in &per_size[1..] {
                 for (x, y) in per_size[0].iter().zip(later.iter()) {
@@ -276,7 +263,7 @@ fn strided_matmuls_bitwise_equal_transpose_then_multiply() {
     for tier in tiers() {
         with_tier(tier, || {
             for threads in [1usize, 2, 4] {
-                pool::set_thread_override(threads);
+                let _rt = Runtime::current().with_threads(threads).enter();
                 for (shape, a_kn, b_km, a_nk, b_mk) in &cases {
                     let tn = a_kn.matmul_tn(b_km);
                     assert_eq!(tn.shape().dims(), &[shape.0, shape.2]);
@@ -296,7 +283,6 @@ fn strided_matmuls_bitwise_equal_transpose_then_multiply() {
                 let c = a.matmul(&b);
                 assert_eq!(bits(&a.transpose().matmul_tn(&b)), bits(&c));
                 assert_eq!(bits(&a.matmul_nt(&b.transpose())), bits(&c));
-                pool::set_thread_override(0);
             }
         });
     }

@@ -6,10 +6,14 @@
 
 use matgnn_data::{Dataset, GeneratorConfig, Normalizer};
 use matgnn_model::{Egnn, EgnnConfig, GnnModel};
-use matgnn_tensor::{pool, recycler};
+use matgnn_tensor::Runtime;
 use matgnn_train::{TrainConfig, Trainer};
 
-fn run_once() -> Vec<u64> {
+fn run_once(recycler: bool) -> Vec<u64> {
+    let _rt = Runtime::current()
+        .with_threads(2)
+        .with_recycler(recycler)
+        .enter();
     let (train, test) = Dataset::generate_split(16, 0.25, 7, &GeneratorConfig::default());
     let norm = Normalizer::fit(&train);
     let mut model = Egnn::new(EgnnConfig::new(64, 2));
@@ -37,13 +41,8 @@ fn run_once() -> Vec<u64> {
 
 #[test]
 fn training_bitwise_identical_recycler_on_vs_off() {
-    pool::set_thread_override(2);
-    recycler::set_enabled_override(Some(false));
-    let fresh = run_once();
-    recycler::set_enabled_override(Some(true));
-    let recycled = run_once();
-    recycler::set_enabled_override(None);
-    pool::set_thread_override(0);
+    let fresh = run_once(false);
+    let recycled = run_once(true);
     assert_eq!(
         fresh, recycled,
         "training diverged between recycler off and on"

@@ -7,16 +7,16 @@
 
 use matgnn_data::{Dataset, GeneratorConfig, Normalizer};
 use matgnn_model::{Egnn, EgnnConfig};
-use matgnn_tensor::{pool, simd};
+use matgnn_tensor::{simd, Runtime};
 use matgnn_train::{TrainConfig, Trainer};
-use std::sync::Mutex;
 
-/// Serializes tier-flipping tests on the parallel test runner.
-static TIER_LOCK: Mutex<()> = Mutex::new(());
-
-/// Per-epoch train/test losses for a short seeded run at a fixed pool size.
-fn losses_once(threads: usize) -> Vec<f64> {
-    pool::set_thread_override(threads);
+/// Per-epoch train/test losses for a short seeded run on one SIMD tier at
+/// a fixed pool size.
+fn losses_once(tier: simd::SimdTier, threads: usize) -> Vec<f64> {
+    let _rt = Runtime::current()
+        .with_simd(tier)
+        .with_threads(threads)
+        .enter();
     let (train, test) = Dataset::generate_split(16, 0.25, 7, &GeneratorConfig::default());
     let norm = Normalizer::fit(&train);
     let mut model = Egnn::new(EgnnConfig::new(64, 2));
@@ -26,7 +26,6 @@ fn losses_once(threads: usize) -> Vec<f64> {
         ..Default::default()
     })
     .fit(&mut model, &train, Some(&test), &norm);
-    pool::set_thread_override(0);
     report
         .epochs
         .iter()
@@ -36,20 +35,16 @@ fn losses_once(threads: usize) -> Vec<f64> {
 
 #[test]
 fn training_trajectory_matches_across_simd_tiers() {
-    let _guard = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-
-    simd::set_simd_override(Some(simd::SimdTier::Scalar));
-    let scalar = losses_once(1);
-    simd::set_simd_override(None);
+    let scalar = losses_once(simd::SimdTier::Scalar, 1);
     assert!(
         scalar.iter().all(|l| l.is_finite()),
         "scalar-tier run produced non-finite losses: {scalar:?}"
     );
 
-    // `MATGNN_SIMD=off` vs the detected tier. On hardware without a
-    // vector tier this compares the scalar tier against itself, which
-    // still pins the finite-and-stable property.
-    let vector = losses_once(1);
+    // The scalar tier vs the detected tier. On hardware without a vector
+    // tier this compares the scalar tier against itself, which still pins
+    // the finite-and-stable property.
+    let vector = losses_once(Runtime::hardware().simd, 1);
     assert!(
         vector.iter().all(|l| l.is_finite()),
         "vector-tier run produced non-finite losses: {vector:?}"
@@ -65,25 +60,22 @@ fn training_trajectory_matches_across_simd_tiers() {
 
 #[test]
 fn training_bitwise_invariant_to_pool_size_within_each_tier() {
-    let _guard = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-
-    let mut tiers = vec![simd::SimdTier::Scalar];
-    if simd::avx2_available() {
-        tiers.push(simd::SimdTier::Avx2);
-    }
-    if simd::avx512_available() {
-        tiers.push(simd::SimdTier::Avx512);
-    }
-    for tier in tiers {
-        simd::set_simd_override(Some(tier));
-        let reference: Vec<u64> = losses_once(1).iter().map(|l| l.to_bits()).collect();
+    use simd::SimdTier::{Avx2, Avx512, Scalar};
+    let hardware = Runtime::hardware().simd;
+    for tier in [Scalar, Avx2, Avx512]
+        .into_iter()
+        .filter(|&t| t <= hardware)
+    {
+        let reference: Vec<u64> = losses_once(tier, 1).iter().map(|l| l.to_bits()).collect();
         for threads in [2usize, 4] {
-            let got: Vec<u64> = losses_once(threads).iter().map(|l| l.to_bits()).collect();
+            let got: Vec<u64> = losses_once(tier, threads)
+                .iter()
+                .map(|l| l.to_bits())
+                .collect();
             assert_eq!(
                 reference, got,
                 "{tier}: training losses changed between pool-of-1 and pool-of-{threads}"
             );
         }
-        simd::set_simd_override(None);
     }
 }

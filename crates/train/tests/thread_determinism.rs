@@ -6,10 +6,11 @@
 
 use matgnn_data::{Dataset, GeneratorConfig, Normalizer};
 use matgnn_model::{Egnn, EgnnConfig};
-use matgnn_tensor::pool;
+use matgnn_tensor::Runtime;
 use matgnn_train::{TrainConfig, Trainer};
 
-fn losses_once() -> Vec<u64> {
+fn losses_once(threads: usize) -> Vec<u64> {
+    let _rt = Runtime::current().with_threads(threads).enter();
     let (train, test) = Dataset::generate_split(16, 0.25, 7, &GeneratorConfig::default());
     let norm = Normalizer::fit(&train);
     let mut model = Egnn::new(EgnnConfig::new(64, 2));
@@ -28,11 +29,8 @@ fn losses_once() -> Vec<u64> {
 
 #[test]
 fn training_losses_bitwise_identical_across_pool_sizes() {
-    pool::set_thread_override(1);
-    let serial = losses_once();
-    pool::set_thread_override(4);
-    let pooled = losses_once();
-    pool::set_thread_override(0);
+    let serial = losses_once(1);
+    let pooled = losses_once(4);
     assert_eq!(
         serial, pooled,
         "training diverged between pool-of-1 and pool-of-4"
