@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use matgnn_graph::GraphBatch;
-use matgnn_tensor::{Tape, Tensor, Var};
+use matgnn_tensor::{BlockPart, Tape, Tensor, Var};
 
 use crate::mlp::{init_rng, Activation, LayerNorm, Mlp};
 use crate::{EgnnConfig, GnnModel, ParamSet};
@@ -274,8 +274,9 @@ impl Egnn {
     ) -> (Var, Var) {
         let (offset, _) = self.segment_ranges[self.n_segments() - 1];
         let node_e = self.energy_head.forward(tape, pvars, offset, h);
-        let (m_in, rel) = self.edge_inputs(tape, batch, h, d, rel0);
-        let w = self.force_head.forward(tape, pvars, offset, m_in);
+        // Equivariant force head: per-edge scalar times rel vector.
+        let (rel, dist_feat) = self.edge_geometry(tape, batch, d, rel0);
+        let w = edge_mlp(&self.force_head, tape, pvars, offset, batch, h, dist_feat);
         let weighted = tape.mul_col(rel, w);
         let forces = tape.scatter_add_rows(weighted, Arc::clone(batch.src()), batch.n_nodes());
         (node_e, forces)
@@ -293,17 +294,9 @@ impl Egnn {
         tape.add(rel0, delta)
     }
 
-    /// Edge message inputs `[h_src ‖ h_dst ‖ dist features]` and the rel
-    /// vectors. The distance feature is raw `‖r‖²` or, with `n_rbf > 0`,
-    /// a Gaussian radial-basis expansion of `‖r‖`.
-    fn edge_inputs(
-        &self,
-        tape: &mut Tape,
-        batch: &GraphBatch,
-        h: Var,
-        d: Var,
-        rel0: Var,
-    ) -> (Var, Var) {
+    /// The rel vectors and their distance features: raw `‖r‖²` or, with
+    /// `n_rbf > 0`, a Gaussian radial-basis expansion of `‖r‖`.
+    fn edge_geometry(&self, tape: &mut Tape, batch: &GraphBatch, d: Var, rel0: Var) -> (Var, Var) {
         let rel = self.relative_vectors(tape, batch, d, rel0);
         let sq = tape.square(rel);
         let dist2 = tape.sum_axis1(sq);
@@ -312,10 +305,7 @@ impl Egnn {
         } else {
             self.rbf_expand(tape, dist2)
         };
-        let hi = tape.gather_rows(h, Arc::clone(batch.src()));
-        let hj = tape.gather_rows(h, Arc::clone(batch.dst()));
-        let m_in = tape.concat_cols(&[hi, hj, dist_feat]);
-        (m_in, rel)
+        (rel, dist_feat)
     }
 
     /// Gaussian RBF expansion `exp(−γ(‖r‖ − μ_k)²)` with centers spread
@@ -353,8 +343,8 @@ impl Egnn {
     ) -> (Var, Var) {
         let layer = &self.layers[li];
         let n = batch.n_nodes();
-        let (m_in, rel) = self.edge_inputs(tape, batch, h, d, rel0);
-        let mut m = layer.phi_e.forward(tape, pvars, offset, m_in);
+        let (rel, dist_feat) = self.edge_geometry(tape, batch, d, rel0);
+        let mut m = edge_mlp(&layer.phi_e, tape, pvars, offset, batch, h, dist_feat);
         if let Some(gate) = &layer.gate {
             let g = gate.forward(tape, pvars, offset, m);
             let g = tape.sigmoid(g);
@@ -375,8 +365,8 @@ impl Egnn {
         };
 
         let agg = tape.scatter_add_rows(m, Arc::clone(batch.src()), n);
-        let h_in = tape.concat_cols(&[h, agg]);
-        let out = layer.phi_h.forward(tape, pvars, offset, h_in);
+        let h_in = [BlockPart::dense(h), BlockPart::dense(agg)];
+        let out = layer.phi_h.forward_blocks(tape, pvars, offset, &h_in);
         let mut h_next = if self.config.residual {
             tape.add(h, out)
         } else {
@@ -387,6 +377,28 @@ impl Egnn {
         }
         (h_next, d_next)
     }
+}
+
+/// Applies an edge MLP to `[h_src ‖ h_dst ‖ dist_feat]` per edge without
+/// building that matrix: the first layer multiplies `h` by its row blocks
+/// per atom and gathers the products per edge (transform-then-gather, as
+/// the tape-free `FrozenEgnn` does), dividing its `h` FLOPs by the mean
+/// degree.
+fn edge_mlp(
+    mlp: &Mlp,
+    tape: &mut Tape,
+    pvars: &[Var],
+    offset: usize,
+    batch: &GraphBatch,
+    h: Var,
+    dist_feat: Var,
+) -> Var {
+    let parts = [
+        BlockPart::gathered(h, Arc::clone(batch.src())),
+        BlockPart::gathered(h, Arc::clone(batch.dst())),
+        BlockPart::dense(dist_feat),
+    ];
+    mlp.forward_blocks(tape, pvars, offset, &parts)
 }
 
 impl GnnModel for Egnn {
@@ -432,17 +444,11 @@ impl GnnModel for Egnn {
             let (h2, d2) = self.layer_forward(seg - 1, tape, pvars, offset, batch, h, d, rel0);
             vec![h2, d2, rel0]
         } else {
-            // Heads.
-            let (h, d, rel0) = (state[0], state[1], state[2]);
-            let node_e = self.energy_head.forward(tape, pvars, offset, h);
+            let (node_e, forces) =
+                self.head_forward_nodes(tape, pvars, batch, state[0], state[1], state[2]);
             // Energy is extensive: sum node contributions per graph.
             let energy =
                 tape.scatter_add_rows(node_e, Arc::clone(batch.node_graph()), batch.n_graphs());
-            // Equivariant force head: per-edge scalar times rel vector.
-            let (m_in, rel) = self.edge_inputs(tape, batch, h, d, rel0);
-            let w = self.force_head.forward(tape, pvars, offset, m_in);
-            let weighted = tape.mul_col(rel, w);
-            let forces = tape.scatter_add_rows(weighted, Arc::clone(batch.src()), batch.n_nodes());
             vec![energy, forces]
         }
     }

@@ -15,18 +15,18 @@
 //!   consumes `[h_src ‖ h_dst ‖ dist_feat]`; its `[2h+e, h]` weight matrix
 //!   is split at freeze time into row blocks `W_hi`, `W_hj`, `W_d` so the
 //!   concatenated `[E, 2h+e]` edge matrix is never materialized —
-//!   `m = h_src·W_hi + h_dst·W_hj + df·W_d`. Same for `φ_h`'s `[2h, h]`
-//!   first layer.
+//!   `m = df·W_d + ((h_src·W_hi + h_dst·W_hj) + b)`. Same for `φ_h`'s
+//!   `[2h, h]` first layer: `(h·W_h + agg·W_agg) + b`.
 //! * **Transform-then-gather.** `h·W_hi` is computed once per *node* and
 //!   then gathered per *edge* (matmul rows are independent, so gathering
 //!   before or after the product yields the same rows) — with mean degree
 //!   `deg`, that divides the first-layer edge FLOPs by `deg`.
 //!
-//! Both transformations regroup floating-point accumulation (three partial
-//! matmul sums instead of one fused chain), so the frozen forward matches
-//! the tape forward to tight *tolerance*, not bitwise; the frozen forward
-//! itself remains bitwise deterministic for any pool size within a SIMD
-//! tier, exactly like the training kernels.
+//! The tape runs the same two layers as `Tape::block_linear` nodes, which
+//! take the same products and sum them in the same order, so within one
+//! SIMD tier the frozen forward equals the tape forward **bitwise**; it is
+//! also bitwise deterministic for any pool size, exactly like the training
+//! kernels.
 
 use std::fmt;
 
@@ -545,10 +545,10 @@ impl FrozenEgnn {
         let dst: &[usize] = batch.dst();
 
         // Transform-then-gather: both node-side partial products from one
-        // node-level matmul (~mean-degree× fewer FLOPs than the tape's
-        // edge-level concat matmul), then a single fused per-edge pass
-        // adding src block + dst block + bias onto the dist-feature
-        // product in place.
+        // node-level matmul (~mean-degree× fewer FLOPs than an edge-level
+        // matmul over the concatenated inputs), then a single fused
+        // per-edge pass adding src block + dst block + bias onto the
+        // dist-feature product in place — `Tape::block_linear`'s order.
         let mut m = dist_feat.matmul(&l1.w_d);
         let p = h.matmul(&l1.w_pair); // [n × 2·out]
         {
@@ -664,29 +664,32 @@ mod tests {
         )
     }
 
-    fn assert_close(tag: &str, a: &Tensor, b: &Tensor, tol: f32) {
-        assert_eq!(a.shape(), b.shape(), "{tag}: shape mismatch");
-        let scale = a.max_abs().max(b.max_abs()).max(1.0);
-        let diff = a.sub(b).max_abs();
-        assert!(
-            diff <= tol * scale,
-            "{tag}: max diff {diff:e} vs scale {scale:e}"
-        );
+    fn assert_bitwise(tag: &str, tape: &Tensor, frozen: &Tensor) {
+        assert_eq!(tape.shape(), frozen.shape(), "{tag}: shape mismatch");
+        for (i, (a, b)) in tape.data().iter().zip(frozen.data()).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{tag}[{i}]: tape {a:e} vs frozen {b:e}"
+            );
+        }
     }
 
-    fn check_config(config: EgnnConfig, tol: f32) {
+    /// The frozen forward runs the tape's arithmetic in the tape's order,
+    /// so energies and forces agree to the bit.
+    fn check_config(config: EgnnConfig) {
         let model = Egnn::new(config);
         let batch = test_batch();
         let (te, tf) = tape_forward(&model, &batch);
         let frozen = FrozenEgnn::freeze(&model);
         let (fe, ff) = frozen.predict(&batch);
-        assert_close("energy", &te, &fe, tol);
-        assert_close("forces", &tf, &ff, tol);
+        assert_bitwise("energy", &te, &fe);
+        assert_bitwise("forces", &tf, &ff);
     }
 
     #[test]
     fn frozen_matches_tape_default_config() {
-        check_config(EgnnConfig::new(16, 3), 1e-4);
+        check_config(EgnnConfig::new(16, 3));
     }
 
     #[test]
@@ -697,7 +700,6 @@ mod tests {
                 .with_layer_norm(true)
                 .with_rbf(8)
                 .with_seed(5),
-            1e-4,
         );
     }
 
@@ -709,7 +711,6 @@ mod tests {
                 .with_residual(false)
                 .with_rbf(0)
                 .with_seed(9),
-            1e-4,
         );
     }
 

@@ -3,7 +3,7 @@
 
 use matgnn_tensor::rng::Rng;
 
-use matgnn_tensor::{Tape, Tensor, Var};
+use matgnn_tensor::{BlockPart, Tape, Tensor, Var};
 
 use crate::ParamSet;
 
@@ -167,10 +167,37 @@ impl Mlp {
 
     /// Applies the MLP.
     pub fn forward(&self, tape: &mut Tape, pvars: &[Var], param_offset: usize, x: Var) -> Var {
-        let mut h = x;
+        let y = self.layers[0].forward(tape, pvars, param_offset, x);
+        self.finish(tape, pvars, param_offset, y)
+    }
+
+    /// Applies the MLP to the column concatenation of `parts` without
+    /// building it: the first layer is one [`Tape::block_linear`] over
+    /// the row blocks of its weight, so a part gathered per edge is
+    /// multiplied per node first.
+    pub fn forward_blocks(
+        &self,
+        tape: &mut Tape,
+        pvars: &[Var],
+        param_offset: usize,
+        parts: &[BlockPart],
+    ) -> Var {
+        let first = &self.layers[0];
+        let w = pvars[first.weight_idx - param_offset];
+        let b = pvars[first.bias_idx - param_offset];
+        let y = tape.block_linear(parts, w, b);
+        self.finish(tape, pvars, param_offset, y)
+    }
+
+    /// The rest of the MLP after the first layer's affine map `y0`: its
+    /// activation, then every later layer.
+    fn finish(&self, tape: &mut Tape, pvars: &[Var], param_offset: usize, y0: Var) -> Var {
+        let mut h = y0;
         let last = self.layers.len() - 1;
         for (l, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(tape, pvars, param_offset, h);
+            if l > 0 {
+                h = layer.forward(tape, pvars, param_offset, h);
+            }
             h = if l == last {
                 self.final_act.apply(tape, h)
             } else {

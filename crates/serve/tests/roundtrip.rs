@@ -8,8 +8,10 @@ use matgnn_serve::InferenceEngine;
 use matgnn_tensor::{simd, Runtime, Tape};
 use matgnn_train::{AdamState, TrainCheckpoint};
 
-/// Tolerance for frozen-vs-tape parity: the frozen forward regroups the
-/// concat matmul accumulations, so outputs agree to rounding, not bits.
+/// Tolerance for cross-tier drift: each SIMD tier has its own
+/// transcendental kernels, so two tiers agree to rounding, not bits.
+/// Within one tier the frozen forward runs the tape's arithmetic in the
+/// tape's order and matches it bitwise.
 const TAPE_TOL: f32 = 1e-4;
 
 fn chain(n: usize, spacing: f64) -> MolGraph {
@@ -75,6 +77,10 @@ fn tape_forward(model: &Egnn, batch: &GraphBatch) -> (Vec<f32>, Vec<f32>) {
     )
 }
 
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len());
     a.iter()
@@ -113,8 +119,7 @@ fn roundtripped_engine_matches_tape_across_simd_tiers() {
             let (te, tf) = tape_forward(&model, &batch);
             let (fe, ff) = engine.predict_raw(&batch);
             assert!(
-                max_abs_diff(&te, fe.data()) <= TAPE_TOL
-                    && max_abs_diff(&tf, ff.data()) <= TAPE_TOL,
+                bits(&te) == bits(fe.data()) && bits(&tf) == bits(ff.data()),
                 "frozen-vs-tape parity broke on tier {tier:?} for {:?}",
                 model.config().summary()
             );

@@ -51,5 +51,5 @@ pub use error::TensorError;
 pub use memory::{format_bytes, MemoryBreakdown, MemoryCategory, MemorySnapshot, MemoryTracker};
 pub use runtime::{Runtime, RuntimeScope};
 pub use shape::Shape;
-pub use tape::{Gradients, Tape, Var};
+pub use tape::{BlockPart, Gradients, Tape, Var};
 pub use tensor::Tensor;

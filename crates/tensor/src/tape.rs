@@ -76,6 +76,11 @@ enum Op {
     ScatterAddRows(Var, Arc<Vec<usize>>, usize),
     ConcatCols(Vec<Var>),
     SliceCols(Var, usize, usize),
+    BlockLinear {
+        parts: Vec<BlockPart>,
+        w: Var,
+        b: Var,
+    },
 }
 
 impl Op {
@@ -112,7 +117,33 @@ impl Op {
             | Op::ScatterAddRows(a, _, _)
             | Op::SliceCols(a, _, _) => f(*a),
             Op::ConcatCols(parts) => parts.iter().copied().for_each(f),
+            Op::BlockLinear { parts, w, b } => {
+                parts.iter().for_each(|p| f(p.x));
+                f(*w);
+                f(*b);
+            }
         }
+    }
+}
+
+/// One column block of the input of [`Tape::block_linear`]: a matrix
+/// whose rows enter as they are, or gathered by an index list.
+#[derive(Debug, Clone)]
+pub struct BlockPart {
+    x: Var,
+    rows: Option<Arc<Vec<usize>>>,
+}
+
+impl BlockPart {
+    /// Every row of `x`, in order.
+    pub fn dense(x: Var) -> Self {
+        BlockPart { x, rows: None }
+    }
+
+    /// Rows `x[idx[0]], x[idx[1]], …` — what [`Tape::gather_rows`] would
+    /// select, without the gathered copy.
+    pub fn gathered(x: Var, idx: Arc<Vec<usize>>) -> Self {
+        BlockPart { x, rows: Some(idx) }
     }
 }
 
@@ -484,6 +515,92 @@ impl Tape {
         self.push(Op::SliceCols(a, start, end), v, ng)
     }
 
+    /// The linear layer `[p₀ ‖ p₁ ‖ …]·W + b` over the column
+    /// concatenation of `parts`, without building the concatenation.
+    ///
+    /// Part `p` meets its own row block of the single weight `W` (rows in
+    /// part order, so `W` has the shape and layout of the concatenated
+    /// layer's weight), and each product is taken at the part's own row
+    /// count: a gathered part is multiplied *before* the gather (matmul
+    /// rows are independent), so an edge layer over `h[src]` costs node-
+    /// rather than edge-level FLOPs. Row `r` of the output is assembled
+    /// in one pass as
+    ///
+    /// ```text
+    /// D[r] + (((P₀[i₀[r]] + P₁[i₁[r]]) + …) + b)
+    /// ```
+    ///
+    /// where `D = x_a·W_a + x_b·W_b + …` sums the dense parts' products in
+    /// part order and `P_g = x_g·W_g` are the gathered parts' products —
+    /// the order of the tape-free `FrozenEgnn` forward, which this equals
+    /// bitwise.
+    ///
+    /// Backward scatters the output adjoint to each gathered part's rows,
+    /// takes every weight and input product at the part's row count, and
+    /// writes the row blocks of one `W`-shaped gradient in place.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use matgnn_tensor::{BlockPart, Tape, Tensor};
+    ///
+    /// let mut tape = Tape::new();
+    /// let h = tape.constant(Tensor::from_vec((2, 1), vec![1.0, 2.0])?);
+    /// let w = tape.param(Tensor::from_vec((2, 1), vec![10.0, 1.0])?);
+    /// let b = tape.param(Tensor::from_vec(1usize, vec![0.5])?);
+    /// // [h[src] ‖ h[dst]]·W + b over three edges.
+    /// let (src, dst) = (Arc::new(vec![0, 1, 1]), Arc::new(vec![1, 0, 1]));
+    /// let y = tape.block_linear(
+    ///     &[BlockPart::gathered(h, src), BlockPart::gathered(h, dst)],
+    ///     w,
+    ///     b,
+    /// );
+    /// assert_eq!(tape.value(y).data(), &[12.5, 21.5, 22.5]);
+    /// # Ok::<(), matgnn_tensor::TensorError>(())
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parts` is empty, the parts' widths do not add up to
+    /// `W`'s rows, a dense part's row count differs from the output's, or
+    /// an index is out of range.
+    pub fn block_linear(&mut self, parts: &[BlockPart], w: Var, b: Var) -> Var {
+        assert!(!parts.is_empty(), "block_linear of zero parts");
+        let wv = self.value(w);
+        let mut dense: Option<Tensor> = None;
+        let mut gathered: Vec<(Tensor, &[usize])> = Vec::with_capacity(parts.len());
+        let mut r0 = 0;
+        for p in parts {
+            let x = self.value(p.x);
+            let r1 = r0 + x.cols();
+            let y = x.matmul_row_block(wv, r0, r1);
+            r0 = r1;
+            match (&p.rows, &mut dense) {
+                (Some(idx), _) => gathered.push((y, idx.as_slice())),
+                (None, Some(d)) => d.axpy(1.0, &y),
+                (None, None) => dense = Some(y),
+            }
+        }
+        assert_eq!(
+            r0,
+            wv.rows(),
+            "block_linear: parts cover {r0} of {} weight rows",
+            wv.rows()
+        );
+        let v = Tensor::gathered_row_sum(dense, &gathered, self.value(b));
+        let ng = parts.iter().any(|p| self.needs(p.x)) || self.needs(w) || self.needs(b);
+        self.push(
+            Op::BlockLinear {
+                parts: parts.to_vec(),
+                w,
+                b,
+            },
+            v,
+            ng,
+        )
+    }
+
     // ------------------------------------------------------------------
     // Backward
     // ------------------------------------------------------------------
@@ -664,8 +781,7 @@ impl Tape {
             out_grad.recycle();
             return;
         }
-        let op = self.nodes[id].op.clone();
-        self.apply_backward(id, &op, &out_grad, grads, grad_bytes);
+        self.apply_backward(id, &self.nodes[id].op, &out_grad, grads, grad_bytes);
         // The adjoint of this node has been fully consumed; release its
         // byte accounting (leaves keep their gradients for the caller).
         if let Some(t) = &self.tracker {
@@ -735,7 +851,7 @@ impl Tape {
     }
 
     fn apply_backward(
-        &mut self,
+        &self,
         id: usize,
         op: &Op,
         g: &Tensor,
@@ -924,6 +1040,42 @@ impl Tape {
                 }
                 self.accumulate(grads, grad_bytes, *a, d);
             }
+            Op::BlockLinear { parts, w, b } => {
+                let wv = self.value(*w);
+                let cols = wv.cols();
+                let mut gw = self.needs(*w).then(|| Tensor::zeros(wv.shape().clone()));
+                let mut r0 = 0;
+                for p in parts {
+                    let x = self.value(p.x);
+                    let r1 = r0 + x.cols();
+                    if self.needs(p.x) || gw.is_some() {
+                        // The part's adjoint at its own row count: a
+                        // gathered part's rows receive the scatter-sum
+                        // of the edges that read them.
+                        let scattered =
+                            p.rows.as_ref().map(|idx| g.scatter_add_rows(idx, x.rows()));
+                        let gp = scattered.as_ref().unwrap_or(g);
+                        if let Some(gw) = &mut gw {
+                            x.matmul_tn_into(gp, &mut gw.data_mut()[r0 * cols..r1 * cols]);
+                        }
+                        if self.needs(p.x) {
+                            let dx = gp.matmul_nt_row_block(wv, r0, r1);
+                            self.accumulate(grads, grad_bytes, p.x, dx);
+                        }
+                    }
+                    r0 = r1;
+                }
+                if let Some(gw) = gw {
+                    self.accumulate(grads, grad_bytes, *w, gw);
+                }
+                if self.needs(*b) {
+                    let gb = g
+                        .sum_axis0()
+                        .reshape(self.shape(*b).clone())
+                        .expect("block_linear bias grad shape");
+                    self.accumulate(grads, grad_bytes, *b, gb);
+                }
+            }
         }
     }
 }
@@ -1049,6 +1201,172 @@ mod tests {
             },
             2e-2,
         );
+    }
+
+    /// Edge lists over five atoms with repeated sources and destinations;
+    /// atom 4 has no edges at all.
+    fn block_edges() -> (Arc<Vec<usize>>, Arc<Vec<usize>>) {
+        (
+            Arc::new(vec![0, 0, 1, 2, 2, 2, 3, 1]),
+            Arc::new(vec![1, 2, 0, 0, 1, 3, 2, 2]),
+        )
+    }
+
+    /// `[h[src] ‖ h[dst] ‖ df]·W + b` as one block-linear node.
+    fn edge_block_linear(
+        tape: &mut Tape,
+        v: &[Var],
+        src: &Arc<Vec<usize>>,
+        dst: &Arc<Vec<usize>>,
+    ) -> Var {
+        let parts = [
+            BlockPart::gathered(v[0], Arc::clone(src)),
+            BlockPart::gathered(v[0], Arc::clone(dst)),
+            BlockPart::dense(v[1]),
+        ];
+        tape.block_linear(&parts, v[2], v[3])
+    }
+
+    /// The same layer as the composition it replaces in the EGNN:
+    /// gather ×2 → concat → matmul → bias.
+    fn edge_concat_linear(
+        tape: &mut Tape,
+        v: &[Var],
+        src: &Arc<Vec<usize>>,
+        dst: &Arc<Vec<usize>>,
+    ) -> Var {
+        let hi = tape.gather_rows(v[0], Arc::clone(src));
+        let hj = tape.gather_rows(v[0], Arc::clone(dst));
+        let cat = tape.concat_cols(&[hi, hj, v[1]]);
+        let y = tape.matmul(cat, v[2]);
+        tape.add_row(y, v[3])
+    }
+
+    /// `(h [5×3], df [E×2], W [8×4], b [4])` for `e` edges.
+    fn block_inputs(e: usize, seed: u64) -> Vec<Tensor> {
+        let mut rng = Rng::seed_from_u64(seed);
+        vec![
+            Tensor::randn((5, 3), 0.8, &mut rng),
+            Tensor::randn((e, 2), 0.8, &mut rng),
+            Tensor::randn((8, 4), 0.6, &mut rng),
+            Tensor::randn(4usize, 0.5, &mut rng),
+        ]
+    }
+
+    #[test]
+    fn gradcheck_block_linear_edge_layer() {
+        let (src, dst) = block_edges();
+        check_grad(
+            &block_inputs(src.len(), 41),
+            move |tape, vars| {
+                let y = edge_block_linear(tape, vars, &src, &dst);
+                let y = tape.tanh(y);
+                let q = tape.square(y);
+                tape.mean_all(q)
+            },
+            2e-2,
+        );
+    }
+
+    #[test]
+    fn gradcheck_block_linear_dense_parts() {
+        // φ_h's form: `[h ‖ agg]·W + b`, no index.
+        let mut rng = Rng::seed_from_u64(43);
+        let inputs = vec![
+            Tensor::randn((5, 3), 0.8, &mut rng),
+            Tensor::randn((5, 2), 0.8, &mut rng),
+            Tensor::randn((5, 4), 0.6, &mut rng),
+            Tensor::randn(4usize, 0.5, &mut rng),
+        ];
+        check_grad(
+            &inputs,
+            |tape, vars| {
+                let parts = [BlockPart::dense(vars[0]), BlockPart::dense(vars[1])];
+                let y = tape.block_linear(&parts, vars[2], vars[3]);
+                let y = tape.silu(y);
+                tape.mean_all(y)
+            },
+            2e-2,
+        );
+    }
+
+    /// Runs `layer` on `inputs` bound as parameters, with the loss
+    /// `Σ y ⊙ r` for a fixed random `r`, and returns the output value and
+    /// the gradient of every input (zeros where none flowed).
+    fn value_and_grads(
+        inputs: &[Tensor],
+        layer: impl Fn(&mut Tape, &[Var]) -> Var,
+    ) -> (Tensor, Vec<Tensor>) {
+        let mut tape = Tape::new();
+        let vars: Vec<Var> = inputs.iter().map(|t| tape.param(t.clone())).collect();
+        let y = layer(&mut tape, &vars);
+        let value = tape.value(y).clone();
+        let mut rng = Rng::seed_from_u64(47);
+        let r = tape.constant(Tensor::randn(value.shape().clone(), 1.0, &mut rng));
+        let weighted = tape.mul(y, r);
+        let loss = tape.sum_all(weighted);
+        let mut grads = tape.backward(loss);
+        let g = vars
+            .iter()
+            .zip(inputs)
+            .map(|(&v, t)| {
+                grads
+                    .take(v)
+                    .unwrap_or_else(|| Tensor::zeros(t.shape().clone()))
+            })
+            .collect();
+        (value, g)
+    }
+
+    fn assert_rel_close(tag: &str, a: &Tensor, b: &Tensor) {
+        assert_eq!(a.shape(), b.shape(), "{tag}: shape");
+        let scale = a.max_abs().max(b.max_abs());
+        let diff = a.sub(b).max_abs();
+        assert!(
+            diff <= 1e-5 * scale,
+            "{tag}: max diff {diff:e} at scale {scale:e}"
+        );
+    }
+
+    #[test]
+    fn block_linear_matches_gather_concat_matmul() {
+        let (src, dst) = block_edges();
+        let inputs = block_inputs(src.len(), 53);
+        let (y_new, g_new) = value_and_grads(&inputs, |t, v| edge_block_linear(t, v, &src, &dst));
+        let (y_old, g_old) = value_and_grads(&inputs, |t, v| edge_concat_linear(t, v, &src, &dst));
+        assert_rel_close("value", &y_new, &y_old);
+        for (name, (a, b)) in ["h", "df", "W", "b"].iter().zip(g_new.iter().zip(&g_old)) {
+            assert_rel_close(name, a, b);
+        }
+        // The edgeless atom 4 gets no gradient through either path.
+        assert!((0..3).all(|c| g_new[0].get(4, c) == 0.0));
+    }
+
+    #[test]
+    fn block_linear_with_zero_edges() {
+        let empty = Arc::new(Vec::new());
+        let inputs = block_inputs(0, 59);
+        let (y_new, g_new) =
+            value_and_grads(&inputs, |t, v| edge_block_linear(t, v, &empty, &empty));
+        let (y_old, g_old) =
+            value_and_grads(&inputs, |t, v| edge_concat_linear(t, v, &empty, &empty));
+        assert_eq!(y_new.shape().dims(), &[0, 4]);
+        assert_eq!(y_new, y_old);
+        for (a, b) in g_new.iter().zip(&g_old) {
+            assert_eq!(a.shape(), b.shape());
+            assert!(a.data().iter().all(|&x| x == 0.0));
+            assert!(b.data().iter().all(|&x| x == 0.0));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "parts cover 5 of 8 weight rows")]
+    fn block_linear_rejects_a_short_weight_cover() {
+        let inputs = block_inputs(5, 61);
+        let mut tape = Tape::new();
+        let v: Vec<Var> = inputs.into_iter().map(|t| tape.param(t)).collect();
+        let parts = [BlockPart::dense(v[0]), BlockPart::dense(v[1])];
+        let _ = tape.block_linear(&parts, v[2], v[3]);
     }
 
     #[test]

@@ -63,17 +63,22 @@ fn zeroed(n: usize) -> Arc<Vec<f32>> {
 /// [`Tensor::matmul`], [`Tensor::matmul_tn`] and [`Tensor::matmul_nt`].
 fn gemm(a: simd::MatRef<'_>, b: simd::MatRef<'_>, n: usize, k: usize, m: usize) -> Tensor {
     let mut data = zeroed(n * m);
-    let out = Arc::get_mut(&mut data).expect(UNIQUE).as_mut_slice();
-    if use_pool(2 * n * k * m, MATMUL_PAR_FLOPS) {
+    gemm_into(a, b, Arc::get_mut(&mut data).expect(UNIQUE), k, m);
+    Tensor {
+        shape: Shape::matrix(n, m),
+        data,
+    }
+}
+
+/// `out += a × b` for a row-major `[out.len()/m, m]` slice `out`, split by
+/// row blocks across the pool when the product is large enough.
+fn gemm_into(a: simd::MatRef<'_>, b: simd::MatRef<'_>, out: &mut [f32], k: usize, m: usize) {
+    if use_pool(2 * out.len() * k, MATMUL_PAR_FLOPS) {
         pool::for_each_chunk_mut(out, m, |start, chunk| {
             simd::matmul_rows(a, b, chunk, start / m, k, m);
         });
     } else {
         simd::matmul_rows(a, b, out, 0, k, m);
-    }
-    Tensor {
-        shape: Shape::matrix(n, m),
-        data,
     }
 }
 
@@ -683,6 +688,87 @@ impl Tensor {
         gemm(self.row_major(), other.transposed(), n, k, m)
     }
 
+    /// `self × w[r0..r1, :]`: the product with a row block of `w`, read
+    /// in place (a row block of a row-major matrix is one contiguous run).
+    /// Bitwise equal to `self.matmul(&block)` for a copied block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != r1 − r0` or the block is not inside `w`.
+    pub(crate) fn matmul_row_block(&self, w: &Tensor, r0: usize, r1: usize) -> Tensor {
+        let (n, k) = (self.rows(), self.cols());
+        assert_eq!(
+            k,
+            r1 - r0,
+            "matmul_row_block inner dim: {} vs rows {r0}..{r1} of {}",
+            self.shape,
+            w.shape
+        );
+        gemm(self.row_major(), w.row_block(r0, r1), n, k, w.cols())
+    }
+
+    /// `self × w[r0..r1, :]ᵀ`, the block read in place and transposed by
+    /// strides (the input adjoint of [`matmul_row_block`]).
+    ///
+    /// [`matmul_row_block`]: Tensor::matmul_row_block
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != w.cols()` or the block is not inside `w`.
+    pub(crate) fn matmul_nt_row_block(&self, w: &Tensor, r0: usize, r1: usize) -> Tensor {
+        let (n, k) = (self.rows(), self.cols());
+        assert_eq!(
+            k,
+            w.cols(),
+            "matmul_nt_row_block inner dim: {} vs {}",
+            self.shape,
+            w.shape
+        );
+        let block = w.row_block(r0, r1);
+        let bt = simd::MatRef {
+            data: block.data,
+            rs: 1,
+            cs: k,
+        };
+        gemm(self.row_major(), bt, n, k, r1 - r0)
+    }
+
+    /// `out += selfᵀ × other` into a row-major `[self.cols() ×
+    /// other.cols()]` slice — e.g. a row block of a weight gradient, which
+    /// is one contiguous run of it. Same per-element chain as
+    /// [`matmul_tn`](Tensor::matmul_tn) when `out` starts at zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row counts differ or `out` has the wrong length.
+    pub(crate) fn matmul_tn_into(&self, other: &Tensor, out: &mut [f32]) {
+        let (k, n) = (self.rows(), self.cols());
+        let (k2, m) = (other.rows(), other.cols());
+        assert_eq!(
+            k, k2,
+            "matmul_tn_into inner dim: {} vs {}",
+            self.shape, other.shape
+        );
+        assert_eq!(out.len(), n * m, "matmul_tn_into: output length");
+        gemm_into(self.transposed(), other.row_major(), out, k, m);
+    }
+
+    /// Rows `[r0, r1)` of this rank-2 tensor as a row-major strided matmul
+    /// operand, read in place.
+    fn row_block(&self, r0: usize, r1: usize) -> simd::MatRef<'_> {
+        let c = self.cols();
+        assert!(
+            r0 <= r1 && r1 <= self.rows(),
+            "row block {r0}..{r1} out of {}",
+            self.rows()
+        );
+        simd::MatRef {
+            data: &self.data[r0 * c..r1 * c],
+            rs: c,
+            cs: 1,
+        }
+    }
+
     /// This rank-2 tensor as a strided matmul operand.
     fn row_major(&self) -> simd::MatRef<'_> {
         simd::MatRef {
@@ -890,6 +976,105 @@ impl Tensor {
             shape: Shape::matrix(n_out, m),
             data,
         }
+    }
+
+    /// The per-row assembly of a transform-then-gather linear layer:
+    /// `out[r] = base[r] + (((P₀[i₀[r]] + P₁[i₁[r]]) + …) + bias)` for
+    /// `parts = [(P₀, i₀), (P₁, i₁), …]` — gathered rows summed left to
+    /// right, the bias added last, and that sum added onto `base[r]` (or
+    /// taken as `out[r]` when there is no base). Rows are independent,
+    /// so the pool split cannot change a bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there is neither a base nor a part, an index list's
+    /// length differs from the row count, an index is out of range, or a
+    /// width differs from the bias's.
+    pub(crate) fn gathered_row_sum(
+        base: Option<Tensor>,
+        parts: &[(Tensor, &[usize])],
+        bias: &Tensor,
+    ) -> Tensor {
+        /// Columns summed per pass through a stack buffer.
+        const BLOCK: usize = 64;
+        let c = bias.numel();
+        let rows = match (&base, parts.first()) {
+            (Some(b), _) => b.rows(),
+            (None, Some((_, idx))) => idx.len(),
+            (None, None) => panic!("gathered_row_sum: no input"),
+        };
+        for (p, idx) in parts {
+            assert_eq!(
+                p.cols(),
+                c,
+                "gathered_row_sum: part {} vs bias {c}",
+                p.shape
+            );
+            assert_eq!(
+                idx.len(),
+                rows,
+                "gathered_row_sum: {} indices for {rows} rows",
+                idx.len()
+            );
+            let n = p.rows();
+            for &i in idx.iter() {
+                assert!(i < n, "gathered_row_sum index {i} out of {n}");
+            }
+        }
+        let has_base = base.is_some();
+        let mut out = base.unwrap_or_else(|| Tensor::zeros((rows, c)));
+        assert_eq!(
+            out.cols(),
+            c,
+            "gathered_row_sum: base {} vs bias {c}",
+            out.shape
+        );
+        if out.numel() == 0 {
+            return out;
+        }
+        let pooled = use_pool(out.numel(), ELEM_PAR_MIN);
+        let dst = Arc::make_mut(&mut out.data).as_mut_slice();
+        let bias = &bias.data[..];
+        let body = |r0: usize, chunk: &mut [f32]| {
+            let mut buf = [0.0f32; BLOCK];
+            for (local, orow) in chunk.chunks_mut(c).enumerate() {
+                let r = r0 + local;
+                for c0 in (0..c).step_by(BLOCK) {
+                    let w = BLOCK.min(c - c0);
+                    let acc = &mut buf[..w];
+                    let bias = &bias[c0..c0 + w];
+                    match parts.split_first() {
+                        Some(((p, idx), rest)) => {
+                            acc.copy_from_slice(&p.data[idx[r] * c + c0..][..w]);
+                            for (p, idx) in rest {
+                                let row = &p.data[idx[r] * c + c0..][..w];
+                                for (a, &x) in acc.iter_mut().zip(row) {
+                                    *a += x;
+                                }
+                            }
+                            for (a, &b) in acc.iter_mut().zip(bias) {
+                                *a += b;
+                            }
+                        }
+                        None => acc.copy_from_slice(bias),
+                    }
+                    let o = &mut orow[c0..c0 + w];
+                    if has_base {
+                        for (o, &a) in o.iter_mut().zip(acc.iter()) {
+                            *o += a;
+                        }
+                    } else {
+                        o.copy_from_slice(acc);
+                    }
+                }
+            }
+        };
+        if pooled {
+            pool::for_each_chunk_mut(dst, c, |start, chunk| body(start / c, chunk));
+        } else {
+            body(0, dst);
+        }
+        out
     }
 
     /// Concatenates matrices with equal row counts along the column axis.

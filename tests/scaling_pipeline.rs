@@ -41,12 +41,11 @@ fn grid_run_produces_fig3_and_fig4_views() {
 }
 
 #[test]
-// Pre-existing seed failure: on the miniature grid the largest model no
-// longer beats the smallest at the 1.2 TB point (the fitted exponent even
-// flips sign — see power_law_fits_grid_output). Triaged in ISSUE.md
-// (unified telemetry PR); needs a training-quality investigation of the
-// tiny-grid runs, not a tolerance tweak.
-#[ignore = "seed regression: model-scaling trend inverted on the miniature grid (see ISSUE.md triage)"]
+// The miniature grid's model-size trend hangs on one random stream: it
+// was inverted on an earlier stream and holds on the current one. One
+// seed is not evidence of a scaling law; ROADMAP item 7 makes the recipe
+// transfer across width and asserts the trend over seeds.
+#[ignore = "ROADMAP item 7: one-seed trend; passes on the current stream (1.2 TB: largest 2.60 vs smallest 3.45), was inverted on an earlier one"]
 fn model_scaling_direction_holds_on_largest_dataset() {
     // The headline Fig. 3 trend at the biggest data point: the largest
     // model beats the smallest one.
@@ -81,12 +80,11 @@ fn data_scaling_direction_holds_for_largest_model() {
 }
 
 #[test]
-// Pre-existing seed failure: the fitted decay exponent is negative
-// (alpha ≈ −2.37 with r² ≈ 1.0), i.e. the miniature grid's loss *rises*
-// with model size — same root cause as
-// model_scaling_direction_holds_on_largest_dataset. Triaged in ISSUE.md
-// (unified telemetry PR).
-#[ignore = "seed regression: power-law exponent sign flipped on the miniature grid (see ISSUE.md triage)"]
+// Same one-seed fragility as model_scaling_direction_holds_on_largest_dataset:
+// the fitted exponent was alpha ≈ −2.37 (loss rising with model size) on
+// an earlier random stream and is positive on the current one. ROADMAP
+// item 7.
+#[ignore = "ROADMAP item 7: one-seed fit; passes on the current stream (alpha +0.064, r² 0.999), was −2.37 on an earlier one"]
 fn power_law_fits_grid_output() {
     let grid = scaling::run_scaling_grid(&tiny_config());
     let fit = grid.fit_model_scaling(1.2).expect("enough points");
