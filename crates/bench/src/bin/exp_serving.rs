@@ -1,19 +1,20 @@
 //! Closed-loop serving benchmark for the tape-free inference engine and
-//! dynamic batcher — measures single-graph frozen-vs-tape forward speed,
-//! asserts zero steady-state heap allocations on the engine hot path,
-//! checks frozen/tape parity on a checkpoint round-tripped through MGTC
-//! save/load, sweeps offered load through the [`DynamicBatcher`] to map
-//! the p50/p99-latency-vs-throughput saturation curve, and writes
+//! dynamic batcher — times the single-graph forward with and without a
+//! tape, asserts zero steady-state heap allocations on the engine hot
+//! path, checks frozen/tape parity on a checkpoint round-tripped through
+//! MGTC save/load, sweeps offered load through the [`DynamicBatcher`] to
+//! map the p50/p99-latency-vs-throughput saturation curve, and writes
 //! everything to `BENCH_serving.json`.
 //!
 //! ```sh
 //! cargo run --release -p matgnn-bench --bin exp_serving -- [--quick|--full]
 //! ```
 //!
-//! Exits non-zero if the frozen forward is less than 1.5x the tape
-//! forward on a single graph, if the steady-state engine path allocates,
-//! if frozen and tape outputs diverge past tolerance, or if the p99
-//! latency SLO is violated at low offered load — so CI can gate on it.
+//! Exits non-zero if the tape-free single-graph forward is slower than
+//! the taped one or costs more than its per-atom bound, if the
+//! steady-state engine path allocates, if frozen and tape outputs differ
+//! in any bit, or if the p99 latency SLO is violated at low offered load
+//! — so CI can gate on it.
 //!
 //! The allocation leg runs at pool-of-1 (the worker pool's dispatch
 //! allocates per-chunk job handles); everything else runs at the
@@ -63,28 +64,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Parity tolerance (relative to `max(1, |tape value|)`): the frozen
-/// forward regroups the first-layer matmul accumulations (concat
-/// elimination), so outputs match the tape to rounding, not bitwise —
-/// and per-graph energies are extensive sums, so the error scales with
-/// magnitude.
-const PARITY_TOL: f32 = 1e-4;
-
-/// Frozen single-graph forward must beat the tape by at least this.
-const SPEEDUP_FLOOR: f64 = 1.5;
+/// Upper bound on the tape-free single-graph forward, in µs per atom, as
+/// `(quick, full)`. Both executors run one EGNN body, so "frozen vs tape"
+/// only prices recording; this bound prices the serving path itself.
+/// Calibrated on the reference host (2-vCPU KVM guest, AVX-512, pool of
+/// 2) from 59 quick and 20 full runs of the engine as it stood before the
+/// body was shared: the slowest read 13.65 and 32.95 µs/atom. Times are
+/// bimodal per process (6.6–13.7 and 20.8–33.5), and one quick run in 75
+/// read 16.25 while the whole host slowed (the taped forward with it), so
+/// the bound sits 21 % above the slowest calibration run.
+const FROZEN_US_PER_ATOM_BOUND: (f64, f64) = (16.5, 40.0);
 
 /// p99 SLO at the lowest offered-load level of the sweep. Generous —
 /// CI hosts are shared and oversubscribed — but a real bound: an
 /// unbatched queue collapse blows through it immediately.
 const SLO_P99_MS: f64 = 500.0;
-
-fn max_rel_diff(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs() / x.abs().max(1.0))
-        .fold(0.0f32, f32::max)
-}
 
 /// One tape forward pass, returning (per-graph energies, forces) data.
 fn tape_forward(model: &Egnn, batch: &GraphBatch) -> (Vec<f32>, Vec<f32>) {
@@ -151,7 +145,7 @@ fn run_level(batcher: &DynamicBatcher, graphs: &[MolGraph], offered_rps: f64, n:
 fn main() {
     let mode = matgnn_bench::RunMode::from_args();
     matgnn_bench::banner(
-        "Serving: tape-free engine speedup, zero-alloc steady state, load sweep",
+        "Serving: tape-free engine cost, zero-alloc steady state, load sweep",
         mode,
     );
 
@@ -206,20 +200,24 @@ fn main() {
         if roundtrip_bitwise { "OK" } else { "DIVERGED" }
     );
 
-    // — frozen vs tape parity across the request pool —
-    let mut parity_energy = 0.0f32;
-    let mut parity_force = 0.0f32;
+    // — frozen vs tape parity across the request pool: both run one
+    // forward body, so every energy and force agrees to the bit —
+    let mut parity_mismatches = 0usize;
     for chunk in graphs.chunks(6) {
         let refs: Vec<&MolGraph> = chunk.iter().collect();
         let batch = GraphBatch::from_graphs(&refs);
         let (te, tf) = tape_forward(&model, &batch);
         let (fe, ff) = engine.predict_raw(&batch);
-        parity_energy = parity_energy.max(max_rel_diff(&te, fe.data()));
-        parity_force = parity_force.max(max_rel_diff(&tf, ff.data()));
+        let tape = te.iter().chain(&tf);
+        let frozen = fe.data().iter().chain(ff.data());
+        parity_mismatches += tape
+            .zip(frozen)
+            .filter(|(a, b)| a.to_bits() != b.to_bits())
+            .count();
     }
-    let parity_ok = parity_energy <= PARITY_TOL && parity_force <= PARITY_TOL;
+    let parity_ok = parity_mismatches == 0;
     println!(
-        "parity vs tape: max rel dE {parity_energy:.2e}, max rel dF {parity_force:.2e} (tol {PARITY_TOL:.0e}) — {}",
+        "parity vs tape: {parity_mismatches} energies/forces differ in any bit — {}",
         if parity_ok { "OK" } else { "DIVERGED" }
     );
 
@@ -235,27 +233,45 @@ fn main() {
         tape_forward(&model, &single);
         engine.predict_raw(&single);
     }
-    // Interleaved min-of-chunks: scheduler noise on shared hosts hits
-    // both paths alike, and the minimum is the honest cost of each.
-    let chunks = 6usize;
-    let per_chunk = (fwd_iters / chunks).max(3);
-    let mut tape_ns = f64::INFINITY;
-    let mut frozen_ns = f64::INFINITY;
-    for _ in 0..chunks {
+    // Interleaved chunks, alternating which path goes first: the minimum
+    // over chunks is the honest cost of each path, and the median of the
+    // per-chunk tape/frozen ratios compares the two on equal footing
+    // (scheduler noise on a shared host hits both halves of a pair alike).
+    let chunks = 16usize;
+    let per_chunk = (fwd_iters / chunks).max(10);
+    let time = |f: &mut dyn FnMut()| {
         let t0 = Instant::now();
         for _ in 0..per_chunk {
-            std::hint::black_box(tape_forward(&model, &single));
+            f();
         }
-        tape_ns = tape_ns.min(t0.elapsed().as_nanos() as f64 / per_chunk as f64);
-        let t0 = Instant::now();
-        for _ in 0..per_chunk {
-            std::hint::black_box(engine.predict_raw(&single));
-        }
-        frozen_ns = frozen_ns.min(t0.elapsed().as_nanos() as f64 / per_chunk as f64);
+        t0.elapsed().as_nanos() as f64 / per_chunk as f64
+    };
+    let mut tape = || drop(std::hint::black_box(tape_forward(&model, &single)));
+    let mut frozen = || drop(std::hint::black_box(engine.predict_raw(&single)));
+    let (mut tape_ns, mut frozen_ns) = (f64::INFINITY, f64::INFINITY);
+    let mut ratios = Vec::with_capacity(chunks);
+    for c in 0..chunks {
+        let (t, f) = if c % 2 == 0 {
+            let t = time(&mut tape);
+            (t, time(&mut frozen))
+        } else {
+            let f = time(&mut frozen);
+            (time(&mut tape), f)
+        };
+        tape_ns = tape_ns.min(t);
+        frozen_ns = frozen_ns.min(f);
+        ratios.push(t / f);
     }
-    let speedup = tape_ns / frozen_ns;
+    ratios.sort_by(f64::total_cmp);
+    let speedup = ratios[chunks / 2];
+    let us_per_atom = frozen_ns / 1e3 / median.n_nodes() as f64;
+    let us_per_atom_bound = match mode {
+        matgnn_bench::RunMode::Quick => FROZEN_US_PER_ATOM_BOUND.0,
+        matgnn_bench::RunMode::Full => FROZEN_US_PER_ATOM_BOUND.1,
+    };
     println!(
-        "single-graph forward ({} atoms): tape {:.0} ns, frozen {:.0} ns — {speedup:.2}x",
+        "single-graph forward ({} atoms): tape {:.0} ns, frozen {:.0} ns, median ratio {speedup:.2}x; \
+         frozen {us_per_atom:.2} µs/atom (bound {us_per_atom_bound})",
         median.n_nodes(),
         tape_ns,
         frozen_ns
@@ -350,11 +366,11 @@ fn main() {
     let json = format!(
         "{{\n{header}  \"threads\": {threads},\n  \
          \"tape_fwd_ns\": {tape_ns:.0},\n  \"frozen_fwd_ns\": {frozen_ns:.0},\n  \
-         \"speedup\": {speedup:.3},\n  \"speedup_floor\": {SPEEDUP_FLOOR},\n  \
+         \"speedup\": {speedup:.3},\n  \
+         \"frozen_us_per_atom\": {us_per_atom:.3},\n  \
+         \"frozen_us_per_atom_bound\": {us_per_atom_bound},\n  \
          \"steady_allocs_per_request\": {:.3},\n  \
-         \"parity_max_rel_energy\": {parity_energy:e},\n  \
-         \"parity_max_rel_force\": {parity_force:e},\n  \
-         \"parity_tol\": {PARITY_TOL:e},\n  \
+         \"parity_mismatches\": {parity_mismatches},\n  \
          \"mgtc_roundtrip_bitwise\": {roundtrip_bitwise},\n  \
          \"capacity_rps\": {capacity:.1},\n  \
          \"slo\": {{\"p99_ms_bound\": {SLO_P99_MS}, \"lowest_load_p99_ms\": {low_p99:.3}, \"pass\": {slo_ok}}},\n  \
@@ -370,12 +386,18 @@ fn main() {
         failed = true;
     }
     if !parity_ok {
-        eprintln!("ERROR: frozen forward diverges from the tape past {PARITY_TOL:e}");
+        eprintln!("ERROR: {parity_mismatches} frozen outputs differ from the tape's");
         failed = true;
     }
-    if speedup < SPEEDUP_FLOOR {
+    if speedup < 1.0 {
         eprintln!(
-            "ERROR: frozen single-graph speedup {speedup:.2}x below the {SPEEDUP_FLOOR}x floor"
+            "ERROR: tape-free single-graph forward slower than the taped one ({speedup:.2}x)"
+        );
+        failed = true;
+    }
+    if us_per_atom > us_per_atom_bound {
+        eprintln!(
+            "ERROR: tape-free single-graph forward {us_per_atom:.2} µs/atom over its {us_per_atom_bound} bound"
         );
         failed = true;
     }

@@ -744,6 +744,7 @@ fn overlapped_step<M: GnnModel + Clone>(
             tracker.alloc(MemoryCategory::Gradients, flat_bytes);
             let step_result: Result<(), CommError> = (|| {
                 let reduced = pipe.collect()?;
+                let flatten = matgnn_telemetry::span("flatten");
                 let floats: Vec<usize> = buckets.iter().map(|b| b.floats).collect();
                 pipe.credit_step(&handoffs, &floats, false, t_bwd_end);
                 let params = st.replica.params();
@@ -758,14 +759,13 @@ fn overlapped_step<M: GnnModel + Clone>(
                         .expect("bucket gradient shape")
                     })
                     .collect();
-                {
-                    let _span = matgnn_telemetry::span("optimizer");
-                    st.full_adam.as_mut().expect("full adam").step(
-                        st.replica.params_mut(),
-                        &grads,
-                        lr,
-                    );
-                }
+                drop(flatten);
+                let _span = matgnn_telemetry::span("optimizer");
+                st.full_adam
+                    .as_mut()
+                    .expect("full adam")
+                    .step(st.replica.params_mut(), &grads, lr);
+                drop(grads);
                 pipe.spare.extend(reduced);
                 Ok(())
             })();
@@ -824,12 +824,14 @@ fn overlapped_step<M: GnnModel + Clone>(
             tracker.alloc(MemoryCategory::Gradients, flat_bytes);
             let step_result: Result<(), CommError> = (|| {
                 let mut reduced = pipe.collect()?;
+                let flatten = matgnn_telemetry::span("flatten");
                 let floats: Vec<usize> = ranges.iter().map(|&(s, e)| e - s).collect();
                 pipe.credit_step(&handoffs, &floats, true, t_bwd_end);
                 // Only the owner's buffer holds a reduction; hand it to
                 // the decomposed ZeRO step (scale + Adam + all-gather).
                 let own = std::mem::take(&mut reduced[my_rank]);
                 let mut params = st.replica.params().flatten().to_vec();
+                drop(flatten);
                 {
                     let _span = matgnn_telemetry::span("optimizer");
                     st.zero_adam
@@ -837,6 +839,7 @@ fn overlapped_step<M: GnnModel + Clone>(
                         .expect("zero adam")
                         .step_with_reduced_shard(comm, &mut params, own, lr)?;
                 }
+                let _span = matgnn_telemetry::span("flatten");
                 let flat_t = Tensor::from_vec(params.len(), params).expect("flat params");
                 st.replica.params_mut().unflatten_from(&flat_t);
                 pipe.spare.extend(reduced);
@@ -1013,8 +1016,10 @@ fn run_until_done<M: GnnModel + Clone>(
                     Some(tracker),
                 );
                 if let Some(max_norm) = cfg.grad_clip {
+                    let _span = matgnn_telemetry::span("clip");
                     let _ = clip_grad_norm(&mut outcome.grads, max_norm);
                 }
+                let flatten = matgnn_telemetry::span("flatten");
                 let mut flat = flatten_tensors(&outcome.grads);
                 if inject == Some(Inject::NanGrad) {
                     // Poison one local gradient value pre-reduction: the
@@ -1025,6 +1030,7 @@ fn run_until_done<M: GnnModel + Clone>(
                 }
                 let flat_bytes = (flat.len() * 4) as u64;
                 tracker.alloc(MemoryCategory::Gradients, flat_bytes);
+                drop(flatten);
                 let step_result: Result<(), CommError> = (|| {
                     if let Some(zero) = st.zero_adam.as_mut() {
                         let _span = matgnn_telemetry::span("optimizer");
@@ -1051,10 +1057,13 @@ fn run_until_done<M: GnnModel + Clone>(
                     }
                     Ok(())
                 })();
+                let _span = matgnn_telemetry::span("bookkeeping");
                 tracker.free(MemoryCategory::Gradients, flat_bytes);
+                drop((flat, outcome.grads));
                 step_result?;
                 apply_spike(outcome.loss, inject)
             };
+            let bookkeeping = matgnn_telemetry::span("bookkeeping");
 
             // Detect → decide: judge the local loss and post-step
             // parameters, then reach a group-wide verdict through a
@@ -1095,6 +1104,7 @@ fn run_until_done<M: GnnModel + Clone>(
             st.loss_count += 1;
             st.step_in_epoch += 1;
             st.global_step += 1;
+            drop(bookkeeping);
 
             if let Some(dir) = &cfg.checkpoint_dir {
                 if cfg.checkpoint_every > 0

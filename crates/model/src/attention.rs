@@ -329,7 +329,7 @@ impl GnnModel for Gat {
         let last = self.n_segments() - 1;
         if seg == 0 {
             let feats = tape.constant(batch.node_feats().clone());
-            let h = self.embed.forward(tape, pvars, offset, feats);
+            let h = self.embed.forward(tape, pvars, offset, &feats);
             let h = tape.silu(h);
             vec![h]
         } else if seg < last {
@@ -337,9 +337,9 @@ impl GnnModel for Gat {
             let h = state[0];
             let n = batch.n_nodes();
             let (m_in, _) = self.edge_inputs(tape, batch, h);
-            let scores = layer.score.forward(tape, pvars, offset, m_in);
+            let scores = layer.score.forward(tape, pvars, offset, &m_in);
             let attn = segment_softmax(tape, scores, batch.src(), n);
-            let v = layer.value.forward(tape, pvars, offset, h);
+            let v = layer.value.forward(tape, pvars, offset, &h);
             let vj = tape.gather_rows(v, Arc::clone(batch.dst()));
             let weighted = tape.mul_col(vj, attn);
             let agg = tape.scatter_add_rows(weighted, Arc::clone(batch.src()), n);
@@ -352,11 +352,11 @@ impl GnnModel for Gat {
             vec![h_next]
         } else {
             let h = state[0];
-            let node_e = self.energy_head.forward(tape, pvars, offset, h);
+            let node_e = self.energy_head.forward(tape, pvars, offset, &h);
             let energy =
                 tape.scatter_add_rows(node_e, Arc::clone(batch.node_graph()), batch.n_graphs());
             let (m_in, rel) = self.edge_inputs(tape, batch, h);
-            let w = self.force_head.forward(tape, pvars, offset, m_in);
+            let w = self.force_head.forward(tape, pvars, offset, &m_in);
             let weighted = tape.mul_col(rel, w);
             let forces = tape.scatter_add_rows(weighted, Arc::clone(batch.src()), batch.n_nodes());
             vec![energy, forces]

@@ -18,10 +18,10 @@
 use std::sync::Arc;
 
 use matgnn_graph::GraphBatch;
-use matgnn_tensor::{BlockPart, Tape, Tensor, Var};
+use matgnn_tensor::{BlockPart, Exec, Tape, Tensor, Var};
 
 use crate::mlp::{init_rng, Activation, LayerNorm, Mlp};
-use crate::{EgnnConfig, GnnModel, ParamSet};
+use crate::{EgnnConfig, GnnModel, ModelOutput, ParamSet};
 
 #[derive(Debug, Clone)]
 struct EgnnLayer {
@@ -82,6 +82,13 @@ impl Egnn {
     pub fn new(config: EgnnConfig) -> Self {
         assert!(config.hidden_dim > 0, "hidden_dim must be positive");
         assert!(config.n_layers > 0, "n_layers must be positive");
+        Self::build(config)
+    }
+
+    /// [`new`](Egnn::new) without its checks: a zero width or depth gives
+    /// a degenerate model, which `FrozenEgnn::from_params` then rejects
+    /// against a real checkpoint with a typed error instead of a panic.
+    pub(crate) fn build(config: EgnnConfig) -> Self {
         let h = config.hidden_dim;
         let e = config.edge_feat_dim();
         let mut params = ParamSet::new();
@@ -228,16 +235,7 @@ impl Egnn {
         // Parameters frozen; only the edge vectors require gradients.
         let pvars = self.params.bind_frozen(&mut tape);
         let rel0 = tape.param(batch.edge_vectors().clone());
-        let mut state = {
-            let (start, end) = self.segment_ranges[0];
-            self.segment_forward(&mut tape, 0, &pvars[start..end], batch, &[])
-        };
-        state[2] = rel0;
-        for seg in 1..self.n_segments() {
-            let (start, end) = self.segment_ranges[seg];
-            state = self.segment_forward(&mut tape, seg, &pvars[start..end], batch, &state);
-        }
-        let energy = state[0];
+        let (energy, _) = self.run(&mut tape, &pvars, batch, rel0);
         let energies = tape.value(energy).clone();
         // Differentiate the total (sum over graphs) energy; graphs are
         // disjoint, so per-atom gradients stay per-graph.
@@ -273,132 +271,198 @@ impl Egnn {
         rel0: Var,
     ) -> (Var, Var) {
         let (offset, _) = self.segment_ranges[self.n_segments() - 1];
-        let node_e = self.energy_head.forward(tape, pvars, offset, h);
-        // Equivariant force head: per-edge scalar times rel vector.
-        let (rel, dist_feat) = self.edge_geometry(tape, batch, d, rel0);
-        let w = edge_mlp(&self.force_head, tape, pvars, offset, batch, h, dist_feat);
-        let weighted = tape.mul_col(rel, w);
-        let forces = tape.scatter_add_rows(weighted, Arc::clone(batch.src()), batch.n_nodes());
-        (node_e, forces)
+        let geometry = self.edge_geometry(tape, batch, &d, &rel0);
+        self.heads(tape, pvars, offset, batch, &h, geometry)
     }
 
-    /// Current relative vectors: the base minimum-image vectors plus the
-    /// learned displacement delta (if coordinates update).
-    fn relative_vectors(&self, tape: &mut Tape, batch: &GraphBatch, d: Var, rel0: Var) -> Var {
-        if !self.config.update_coords {
-            return rel0;
+    /// The whole forward on any executor — `(energies [n_graphs × 1],
+    /// forces [n_nodes × 3])`, with `pvars` binding the entire parameter
+    /// set and `rel0` the batch's edge vectors. Runs the segments' own
+    /// bodies in order, except that without coordinate updates the edge
+    /// geometry is the same in every layer and the force head, so it is
+    /// computed once.
+    pub(crate) fn run<C: Exec>(
+        &self,
+        cx: &mut C,
+        pvars: &[C::V],
+        batch: &GraphBatch,
+        rel0: C::V,
+    ) -> (C::V, C::V) {
+        let [mut h, mut d] = self.embed(cx, pvars, 0, batch);
+        let fixed = (!self.config.update_coords).then(|| self.edge_geometry(cx, batch, &d, &rel0));
+        let geometry = |cx: &mut C, d: &C::V| match &fixed {
+            Some(g) => g.clone(),
+            None => self.edge_geometry(cx, batch, d, &rel0),
+        };
+        for li in 0..self.layers.len() {
+            let g = geometry(cx, &d);
+            (h, d) = self.layer_forward(li, cx, pvars, 0, batch, h, d, g);
         }
-        let di = tape.gather_rows(d, Arc::clone(batch.src()));
-        let dj = tape.gather_rows(d, Arc::clone(batch.dst()));
-        let delta = tape.sub(di, dj);
-        tape.add(rel0, delta)
+        let g = geometry(cx, &d);
+        let (node_e, forces) = self.heads(cx, pvars, 0, batch, &h, g);
+        // Energy is extensive: sum node contributions per graph.
+        let energy = cx.scatter_add_rows(&node_e, batch.node_graph(), batch.n_graphs());
+        (energy, forces)
     }
 
-    /// The rel vectors and their distance features: raw `‖r‖²` or, with
-    /// `n_rbf > 0`, a Gaussian radial-basis expansion of `‖r‖`.
-    fn edge_geometry(&self, tape: &mut Tape, batch: &GraphBatch, d: Var, rel0: Var) -> (Var, Var) {
-        let rel = self.relative_vectors(tape, batch, d, rel0);
-        let sq = tape.square(rel);
-        let dist2 = tape.sum_axis1(sq);
+    /// Embed: node features → `h`, and a zero coordinate displacement `d`.
+    fn embed<C: Exec>(
+        &self,
+        cx: &mut C,
+        pvars: &[C::V],
+        offset: usize,
+        batch: &GraphBatch,
+    ) -> [C::V; 2] {
+        let feats = cx.constant(batch.node_feats().clone());
+        let h = self.embed.forward(cx, pvars, offset, &feats);
+        let d = cx.constant(Tensor::zeros((batch.n_nodes(), 3)));
+        [h, d]
+    }
+
+    /// The rel vectors — the base minimum-image vectors plus the learned
+    /// displacement delta (if coordinates update) — and their distance
+    /// features: raw `‖r‖²` or, with `n_rbf > 0`, a Gaussian radial-basis
+    /// expansion of `‖r‖`.
+    fn edge_geometry<C: Exec>(
+        &self,
+        cx: &mut C,
+        batch: &GraphBatch,
+        d: &C::V,
+        rel0: &C::V,
+    ) -> (C::V, C::V) {
+        let rel = if self.config.update_coords {
+            let di = cx.gather_rows(d, batch.src());
+            let dj = cx.gather_rows(d, batch.dst());
+            let delta = cx.sub(di, &dj);
+            cx.add(delta, rel0)
+        } else {
+            rel0.clone()
+        };
+        let sq = cx.square(rel.clone());
+        let dist2 = cx.sum_axis1(&sq);
         let dist_feat = if self.config.n_rbf == 0 {
             dist2
         } else {
-            self.rbf_expand(tape, dist2)
+            self.rbf_expand(cx, dist2)
         };
         (rel, dist_feat)
     }
 
     /// Gaussian RBF expansion `exp(−γ(‖r‖ − μ_k)²)` with centers spread
     /// over `[0, RBF_RMAX]`.
-    fn rbf_expand(&self, tape: &mut Tape, dist2: Var) -> Var {
+    fn rbf_expand<C: Exec>(&self, cx: &mut C, dist2: C::V) -> C::V {
         let k = self.config.n_rbf;
         let delta = RBF_RMAX / (k.max(2) - 1) as f32;
         let gamma = 1.0 / (2.0 * delta * delta);
         // ‖r‖ from ‖r‖² (tiny shift keeps the sqrt adjoint bounded).
-        let shifted = tape.add_scalar(dist2, 1e-8);
-        let dist = tape.sqrt(shifted);
+        let shifted = cx.add_scalar(dist2, 1e-8);
+        let dist = cx.sqrt(shifted);
         // Broadcast to [E, K] and subtract the centers; the clones share
         // the model-lifetime buffers built in `new`.
         let (ones, mu) = self.rbf_consts.as_ref().expect("n_rbf > 0");
-        let ones_row = tape.constant(ones.clone());
-        let d_mat = tape.matmul(dist, ones_row);
-        let neg_mu = tape.constant(mu.clone());
-        let centered = tape.add_row(d_mat, neg_mu);
-        let sq = tape.square(centered);
-        let scaled = tape.scale(sq, -gamma);
-        tape.exp(scaled)
+        let ones_row = cx.constant(ones.clone());
+        let d_mat = cx.matmul(&dist, &ones_row);
+        let neg_mu = cx.constant(mu.clone());
+        let centered = cx.add_row(d_mat, &neg_mu);
+        let sq = cx.square(centered);
+        let scaled = cx.scale(sq, -gamma);
+        cx.exp(scaled)
     }
 
+    /// One message-passing layer, given this layer's edge geometry
+    /// `(rel, dist_feat)`: returns the next `(h, d)`.
     #[allow(clippy::too_many_arguments)] // mirrors the EGNN layer equation inputs
-    fn layer_forward(
+    fn layer_forward<C: Exec>(
         &self,
         li: usize,
-        tape: &mut Tape,
-        pvars: &[Var],
+        cx: &mut C,
+        pvars: &[C::V],
         offset: usize,
         batch: &GraphBatch,
-        h: Var,
-        d: Var,
-        rel0: Var,
-    ) -> (Var, Var) {
+        h: C::V,
+        d: C::V,
+        (rel, dist_feat): (C::V, C::V),
+    ) -> (C::V, C::V) {
         let layer = &self.layers[li];
         let n = batch.n_nodes();
-        let (rel, dist_feat) = self.edge_geometry(tape, batch, d, rel0);
-        let mut m = edge_mlp(&layer.phi_e, tape, pvars, offset, batch, h, dist_feat);
+        let mut m = edge_mlp(&layer.phi_e, cx, pvars, offset, batch, &h, dist_feat);
         if let Some(gate) = &layer.gate {
-            let g = gate.forward(tape, pvars, offset, m);
-            let g = tape.sigmoid(g);
-            m = tape.mul_col(m, g);
+            let g = gate.forward(cx, pvars, offset, &m);
+            let g = cx.sigmoid(g);
+            m = cx.mul_col(m, &g);
         }
 
         let d_next = match &layer.phi_x {
             Some(phi_x) => {
-                let w = phi_x.forward(tape, pvars, offset, m);
-                let weighted = tape.mul_col(rel, w);
-                let upd = tape.scatter_add_rows(weighted, Arc::clone(batch.src()), n);
+                let w = phi_x.forward(cx, pvars, offset, &m);
+                let weighted = cx.mul_col(rel, &w);
+                let upd = cx.scatter_add_rows(&weighted, batch.src(), n);
                 // Precomputed at batch build time (was rebuilt per layer).
-                let inv_deg = tape.constant(batch.inv_src_degree().clone());
-                let upd = tape.mul_col(upd, inv_deg);
-                tape.add(d, upd)
+                let inv_deg = cx.constant(batch.inv_src_degree().clone());
+                let upd = cx.mul_col(upd, &inv_deg);
+                cx.add(d, &upd)
             }
             None => d,
         };
 
-        let agg = tape.scatter_add_rows(m, Arc::clone(batch.src()), n);
-        let h_in = [BlockPart::dense(h), BlockPart::dense(agg)];
-        let out = layer.phi_h.forward_blocks(tape, pvars, offset, &h_in);
+        let agg = cx.scatter_add_rows(&m, batch.src(), n);
+        // The parts array is a temporary, so the residual below finds `h`
+        // unshared again (and, without a tape, updates it in place).
+        let out = layer.phi_h.forward_blocks(
+            cx,
+            pvars,
+            offset,
+            &[BlockPart::dense(h.clone()), BlockPart::dense(agg)],
+        );
         let mut h_next = if self.config.residual {
-            tape.add(h, out)
+            cx.add(h, &out)
         } else {
             out
         };
         if let Some(norm) = &layer.norm {
-            h_next = norm.forward(tape, pvars, offset, h_next);
+            h_next = norm.forward(cx, pvars, offset, h_next);
         }
         (h_next, d_next)
+    }
+
+    /// The energy head's per-node contributions and the equivariant force
+    /// head (per-edge scalar times rel vector), given the edge geometry.
+    fn heads<C: Exec>(
+        &self,
+        cx: &mut C,
+        pvars: &[C::V],
+        offset: usize,
+        batch: &GraphBatch,
+        h: &C::V,
+        (rel, dist_feat): (C::V, C::V),
+    ) -> (C::V, C::V) {
+        let node_e = self.energy_head.forward(cx, pvars, offset, h);
+        let w = edge_mlp(&self.force_head, cx, pvars, offset, batch, h, dist_feat);
+        let weighted = cx.mul_col(rel, &w);
+        let forces = cx.scatter_add_rows(&weighted, batch.src(), batch.n_nodes());
+        (node_e, forces)
     }
 }
 
 /// Applies an edge MLP to `[h_src ‖ h_dst ‖ dist_feat]` per edge without
 /// building that matrix: the first layer multiplies `h` by its row blocks
-/// per atom and gathers the products per edge (transform-then-gather, as
-/// the tape-free `FrozenEgnn` does), dividing its `h` FLOPs by the mean
-/// degree.
-fn edge_mlp(
+/// per atom and gathers the products per edge (transform-then-gather),
+/// dividing its `h` FLOPs by the mean degree.
+fn edge_mlp<C: Exec>(
     mlp: &Mlp,
-    tape: &mut Tape,
-    pvars: &[Var],
+    cx: &mut C,
+    pvars: &[C::V],
     offset: usize,
     batch: &GraphBatch,
-    h: Var,
-    dist_feat: Var,
-) -> Var {
+    h: &C::V,
+    dist_feat: C::V,
+) -> C::V {
     let parts = [
-        BlockPart::gathered(h, Arc::clone(batch.src())),
-        BlockPart::gathered(h, Arc::clone(batch.dst())),
+        BlockPart::gathered(h.clone(), Arc::clone(batch.src())),
+        BlockPart::gathered(h.clone(), Arc::clone(batch.dst())),
         BlockPart::dense(dist_feat),
     ];
-    mlp.forward_blocks(tape, pvars, offset, &parts)
+    mlp.forward_blocks(cx, pvars, offset, &parts)
 }
 
 impl GnnModel for Egnn {
@@ -429,19 +493,15 @@ impl GnnModel for Egnn {
         let (offset, _) = self.segment_ranges[seg];
         let last = self.n_segments() - 1;
         if seg == 0 {
-            // Embed: node features → h; zero coordinate displacement; the
-            // base edge vectors travel with the state so callers (e.g.
-            // conservative-force prediction) can substitute a
-            // gradient-requiring binding.
+            // The base edge vectors travel with the state, so a caller can
+            // substitute a gradient-requiring binding.
             assert!(state.is_empty(), "embed segment takes no state");
-            let feats = tape.constant(batch.node_feats().clone());
-            let h = self.embed.forward(tape, pvars, offset, feats);
-            let d = tape.constant(Tensor::zeros((batch.n_nodes(), 3)));
-            let rel0 = tape.constant(batch.edge_vectors().clone());
-            vec![h, d, rel0]
+            let [h, d] = self.embed(tape, pvars, offset, batch);
+            vec![h, d, tape.constant(batch.edge_vectors().clone())]
         } else if seg < last {
             let (h, d, rel0) = (state[0], state[1], state[2]);
-            let (h2, d2) = self.layer_forward(seg - 1, tape, pvars, offset, batch, h, d, rel0);
+            let geometry = self.edge_geometry(tape, batch, &d, &rel0);
+            let (h2, d2) = self.layer_forward(seg - 1, tape, pvars, offset, batch, h, d, geometry);
             vec![h2, d2, rel0]
         } else {
             let (node_e, forces) =
@@ -451,6 +511,14 @@ impl GnnModel for Egnn {
                 tape.scatter_add_rows(node_e, Arc::clone(batch.node_graph()), batch.n_graphs());
             vec![energy, forces]
         }
+    }
+
+    /// The whole forward on the tape: the body the frozen engine runs
+    /// without one.
+    fn forward(&self, tape: &mut Tape, pvars: &[Var], batch: &GraphBatch) -> ModelOutput {
+        let rel0 = tape.constant(batch.edge_vectors().clone());
+        let (energy, forces) = self.run(tape, pvars, batch, rel0);
+        ModelOutput { energy, forces }
     }
 
     fn describe(&self) -> String {

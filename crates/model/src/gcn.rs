@@ -215,7 +215,7 @@ impl GnnModel for Gcn {
         let last = self.n_segments() - 1;
         if seg == 0 {
             let feats = tape.constant(batch.node_feats().clone());
-            let h = self.embed.forward(tape, pvars, offset, feats);
+            let h = self.embed.forward(tape, pvars, offset, &feats);
             let h = tape.silu(h);
             vec![h]
         } else if seg < last {
@@ -226,15 +226,15 @@ impl GnnModel for Gcn {
             let with_self = tape.add(agg, h);
             let inv = tape.constant(Self::inv_degree_plus_one(batch));
             let norm = tape.mul_col(with_self, inv);
-            let out = self.convs[seg - 1].forward(tape, pvars, offset, norm);
+            let out = self.convs[seg - 1].forward(tape, pvars, offset, &norm);
             let out = tape.silu(out);
             vec![out]
         } else {
             let h = state[0];
-            let node_e = self.energy_head.forward(tape, pvars, offset, h);
+            let node_e = self.energy_head.forward(tape, pvars, offset, &h);
             let energy =
                 tape.scatter_add_rows(node_e, Arc::clone(batch.node_graph()), batch.n_graphs());
-            let forces = self.force_head.forward(tape, pvars, offset, h);
+            let forces = self.force_head.forward(tape, pvars, offset, &h);
             vec![energy, forces]
         }
     }

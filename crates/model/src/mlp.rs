@@ -3,7 +3,7 @@
 
 use matgnn_tensor::rng::Rng;
 
-use matgnn_tensor::{BlockPart, Tape, Tensor, Var};
+use matgnn_tensor::{BlockPart, Exec, Tensor};
 
 use crate::ParamSet;
 
@@ -21,12 +21,12 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Applies the activation on the tape.
-    pub fn apply(self, tape: &mut Tape, x: Var) -> Var {
+    /// Applies the activation on any executor.
+    pub fn apply<C: Exec>(self, cx: &mut C, x: C::V) -> C::V {
         match self {
-            Activation::Silu => tape.silu(x),
-            Activation::Relu => tape.relu(x),
-            Activation::Tanh => tape.tanh(x),
+            Activation::Silu => cx.silu(x),
+            Activation::Relu => cx.relu(x),
+            Activation::Tanh => cx.tanh(x),
             Activation::None => x,
         }
     }
@@ -86,12 +86,10 @@ impl Linear {
     }
 
     /// Applies the layer: `pvars` must be the full binding of the owning
-    /// [`ParamSet`], offset by `param_offset` if only a slice was bound.
-    pub fn forward(&self, tape: &mut Tape, pvars: &[Var], param_offset: usize, x: Var) -> Var {
-        let w = pvars[self.weight_idx - param_offset];
-        let b = pvars[self.bias_idx - param_offset];
-        let y = tape.matmul(x, w);
-        tape.add_row(y, b)
+    /// [`ParamSet`], offset by `offset` if only a slice was bound.
+    pub fn forward<C: Exec>(&self, cx: &mut C, pvars: &[C::V], offset: usize, x: &C::V) -> C::V {
+        let y = cx.matmul(x, &pvars[self.weight_idx - offset]);
+        cx.add_row(y, &pvars[self.bias_idx - offset])
     }
 }
 
@@ -166,42 +164,44 @@ impl Mlp {
     }
 
     /// Applies the MLP.
-    pub fn forward(&self, tape: &mut Tape, pvars: &[Var], param_offset: usize, x: Var) -> Var {
-        let y = self.layers[0].forward(tape, pvars, param_offset, x);
-        self.finish(tape, pvars, param_offset, y)
+    pub fn forward<C: Exec>(&self, cx: &mut C, pvars: &[C::V], offset: usize, x: &C::V) -> C::V {
+        let y = self.layers[0].forward(cx, pvars, offset, x);
+        self.finish(cx, pvars, offset, y)
     }
 
     /// Applies the MLP to the column concatenation of `parts` without
-    /// building it: the first layer is one [`Tape::block_linear`] over
+    /// building it: the first layer is one [`Exec::block_linear`] over
     /// the row blocks of its weight, so a part gathered per edge is
     /// multiplied per node first.
-    pub fn forward_blocks(
+    pub fn forward_blocks<C: Exec, const N: usize>(
         &self,
-        tape: &mut Tape,
-        pvars: &[Var],
-        param_offset: usize,
-        parts: &[BlockPart],
-    ) -> Var {
+        cx: &mut C,
+        pvars: &[C::V],
+        offset: usize,
+        parts: &[BlockPart<C::V>; N],
+    ) -> C::V {
         let first = &self.layers[0];
-        let w = pvars[first.weight_idx - param_offset];
-        let b = pvars[first.bias_idx - param_offset];
-        let y = tape.block_linear(parts, w, b);
-        self.finish(tape, pvars, param_offset, y)
+        let y = cx.block_linear(
+            parts,
+            &pvars[first.weight_idx - offset],
+            &pvars[first.bias_idx - offset],
+        );
+        self.finish(cx, pvars, offset, y)
     }
 
     /// The rest of the MLP after the first layer's affine map `y0`: its
     /// activation, then every later layer.
-    fn finish(&self, tape: &mut Tape, pvars: &[Var], param_offset: usize, y0: Var) -> Var {
+    fn finish<C: Exec>(&self, cx: &mut C, pvars: &[C::V], offset: usize, y0: C::V) -> C::V {
         let mut h = y0;
         let last = self.layers.len() - 1;
         for (l, layer) in self.layers.iter().enumerate() {
             if l > 0 {
-                h = layer.forward(tape, pvars, param_offset, h);
+                h = layer.forward(cx, pvars, offset, &h);
             }
             h = if l == last {
-                self.final_act.apply(tape, h)
+                self.final_act.apply(cx, h)
             } else {
-                self.hidden_act.apply(tape, h)
+                self.hidden_act.apply(cx, h)
             };
         }
         h
@@ -220,8 +220,7 @@ pub struct LayerNorm {
 }
 
 impl LayerNorm {
-    /// Numerical floor inside the variance square root (shared with the
-    /// tape-free frozen forward, which must match it exactly).
+    /// Numerical floor inside the variance square root.
     pub const EPS: f32 = 1e-5;
 
     /// Creates a layer norm over `dim` features, registering `γ = 1` and
@@ -242,23 +241,21 @@ impl LayerNorm {
     }
 
     /// Applies the normalization row-wise.
-    pub fn forward(&self, tape: &mut Tape, pvars: &[Var], param_offset: usize, x: Var) -> Var {
-        let gamma = pvars[self.gamma_idx - param_offset];
-        let beta = pvars[self.beta_idx - param_offset];
+    pub fn forward<C: Exec>(&self, cx: &mut C, pvars: &[C::V], offset: usize, x: C::V) -> C::V {
         let inv_m = 1.0 / self.dim as f32;
-        let mean = tape.sum_axis1(x);
-        let mean = tape.scale(mean, inv_m);
-        let neg_mean = tape.neg(mean);
-        let centered = tape.add_col(x, neg_mean);
-        let sq = tape.square(centered);
-        let var = tape.sum_axis1(sq);
-        let var = tape.scale(var, inv_m);
-        let var = tape.add_scalar(var, Self::EPS);
-        let std = tape.sqrt(var);
-        let inv_std = tape.recip(std);
-        let normed = tape.mul_col(centered, inv_std);
-        let scaled = tape.mul_row(normed, gamma);
-        tape.add_row(scaled, beta)
+        let mean = cx.sum_axis1(&x);
+        let mean = cx.scale(mean, inv_m);
+        let neg_mean = cx.neg(mean);
+        let centered = cx.add_col(x, &neg_mean);
+        let sq = cx.square(centered.clone());
+        let var = cx.sum_axis1(&sq);
+        let var = cx.scale(var, inv_m);
+        let var = cx.add_scalar(var, Self::EPS);
+        let std = cx.sqrt(var);
+        let inv_std = cx.recip(std);
+        let normed = cx.mul_col(centered, &inv_std);
+        let scaled = cx.mul_row(normed, &pvars[self.gamma_idx - offset]);
+        cx.add_row(scaled, &pvars[self.beta_idx - offset])
     }
 }
 
@@ -276,6 +273,7 @@ pub fn sub_seed(rng: &mut Rng) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use matgnn_tensor::Tape;
 
     #[test]
     fn linear_shapes_and_count() {
@@ -291,7 +289,7 @@ mod tests {
         let mut tape = Tape::new();
         let pvars = params.bind(&mut tape);
         let x = tape.constant(Tensor::ones((5, 4)));
-        let y = lin.forward(&mut tape, &pvars, 0, x);
+        let y = lin.forward(&mut tape, &pvars, 0, &x);
         assert_eq!(tape.shape(y).dims(), &[5, 3]);
     }
 
@@ -329,7 +327,7 @@ mod tests {
             let mut tape = Tape::new();
             let pvars = params.bind(&mut tape);
             let x = tape.constant(Tensor::ones((3, 4)));
-            let y = mlp.forward(&mut tape, &pvars, 0, x);
+            let y = mlp.forward(&mut tape, &pvars, 0, &x);
             tape.value(y).clone()
         };
         let y1 = run(&params);

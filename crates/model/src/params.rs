@@ -90,7 +90,7 @@ impl ParamSet {
     }
 
     /// Iterates over entries in order.
-    pub fn iter(&self) -> impl Iterator<Item = &ParamEntry> {
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &ParamEntry> {
         self.entries.iter()
     }
 

@@ -1,12 +1,14 @@
 //! Event collection and the two sinks: per-rank JSONL logs (written
-//! line-by-line as events close) and a Chrome-trace JSON file (written
-//! once at [`shutdown`]).
+//! line-by-line as events close — a nested span when its thread's
+//! outermost span closes) and a Chrome-trace JSON file (written once at
+//! [`shutdown`]).
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use crate::json;
@@ -27,9 +29,9 @@ struct TraceEvent {
 
 struct Collector {
     dir: Option<PathBuf>,
-    /// One line-flushed writer per rank tag (keyed by raw rank; -1 is
-    /// the shared unranked file).
-    writers: HashMap<i64, File>,
+    /// One append-mode file per rank tag (keyed by raw rank; -1 is the
+    /// shared unranked file).
+    writers: HashMap<i64, Arc<File>>,
     trace: Vec<TraceEvent>,
     trace_dropped: u64,
     /// First OS thread name seen per telemetry tid, for Perfetto labels.
@@ -37,6 +39,12 @@ struct Collector {
 }
 
 static COLLECTOR: Mutex<Option<Collector>> = Mutex::new(None);
+
+thread_local! {
+    /// Events this thread closed inside a still-open span (see [`emit`]).
+    static PENDING: RefCell<Vec<(i64, String, Option<TraceEvent>)>> = const { RefCell::new(Vec::new()) };
+}
+
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 /// Microseconds since telemetry was first initialised in this process.
@@ -109,25 +117,56 @@ fn rank_file_name(rank: i64) -> String {
     }
 }
 
-/// Writes one completed JSONL line to the per-rank file. IO errors are
-/// swallowed: telemetry must never fail the training run it observes.
-fn write_line(collector: &mut Collector, rank: i64, line: &str) {
-    let Some(dir) = collector.dir.clone() else {
-        return;
-    };
+/// The JSONL file of `rank`, opened on first use (`None` without a sink
+/// directory).
+fn rank_file(collector: &mut Collector, rank: i64) -> Option<Arc<File>> {
+    let dir = collector.dir.as_ref()?;
     let file = collector.writers.entry(rank).or_insert_with(|| {
-        OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(dir.join(rank_file_name(rank)))
-            .unwrap_or_else(|_| File::create("/dev/null").expect("open /dev/null"))
+        let path = dir.join(rank_file_name(rank));
+        let file = OpenOptions::new().create(true).append(true).open(path);
+        Arc::new(file.unwrap_or_else(|_| File::create("/dev/null").expect("open /dev/null")))
     });
-    // One write per line keeps lines atomic under concurrent ranks and
-    // means a crash loses at most the event being written.
-    let mut buf = String::with_capacity(line.len() + 1);
-    buf.push_str(line);
-    buf.push('\n');
-    let _ = file.write_all(buf.as_bytes());
+    Some(Arc::clone(file))
+}
+
+/// Hands one event — its JSONL line and, for a span, its trace event —
+/// to the sinks. Events queue per thread until one arrives at depth 0
+/// (a thread's outermost span, or any non-span event): a span nested in
+/// another then never takes the collector lock or writes a file between
+/// sibling spans, where the enclosing span could not account for the
+/// time. Files are written outside the lock, one append-mode write per
+/// line, so lines stay whole under concurrent writers and a crash loses
+/// at most the queued events; IO errors are swallowed, since telemetry
+/// must never fail the run it observes.
+fn emit(rank: i64, tid: u64, line: String, trace: Option<TraceEvent>, depth: u32) {
+    PENDING.with(|pending| {
+        let mut pending = pending.borrow_mut();
+        pending.push((rank, line, trace));
+        if depth > 0 {
+            return;
+        }
+        let mut writes = Vec::with_capacity(pending.len());
+        if let Some(collector) = collector().as_mut() {
+            note_thread_name(collector, tid);
+            for (rank, line, trace) in pending.drain(..) {
+                writes.push((rank_file(collector, rank), line));
+                match trace {
+                    Some(event) if collector.trace.len() < TRACE_EVENT_CAP => {
+                        collector.trace.push(event)
+                    }
+                    Some(_) => collector.trace_dropped += 1,
+                    None => {}
+                }
+            }
+        }
+        pending.clear();
+        for (file, mut line) in writes {
+            if let Some(file) = file {
+                line.push('\n');
+                let _ = (&*file).write_all(line.as_bytes());
+            }
+        }
+    });
 }
 
 fn push_common_fields(line: &mut String, ts_us: u64, rank: i64, step: i64, tid: u64) {
@@ -157,25 +196,15 @@ pub(crate) fn record_span(name: &'static str, start_us: u64, dur_us: u64, depth:
     line.push_str(",\"name\":");
     json::escape_str_into(&mut line, name);
     line.push_str(&format!(",\"dur_us\":{dur_us},\"depth\":{depth}}}"));
-
-    let mut guard = collector();
-    let Some(collector) = guard.as_mut() else {
-        return;
+    let event = TraceEvent {
+        name: name.to_string(),
+        ts_us: start_us,
+        dur_us,
+        rank,
+        step,
+        tid,
     };
-    note_thread_name(collector, tid);
-    write_line(collector, rank, &line);
-    if collector.trace.len() < TRACE_EVENT_CAP {
-        collector.trace.push(TraceEvent {
-            name: name.to_string(),
-            ts_us: start_us,
-            dur_us,
-            rank,
-            step,
-            tid,
-        });
-    } else {
-        collector.trace_dropped += 1;
-    }
+    emit(rank, tid, line, Some(event), depth);
 }
 
 /// Emits a free-form log event (`"type":"log"`) tagged with the current
@@ -196,12 +225,7 @@ pub fn log_event(kind: &str, msg: &str) {
     json::escape_str_into(&mut line, msg);
     line.push('}');
 
-    let mut guard = collector();
-    let Some(collector) = guard.as_mut() else {
-        return;
-    };
-    note_thread_name(collector, tid);
-    write_line(collector, rank, &line);
+    emit(rank, tid, line, None, 0);
 }
 
 /// Emits a supervisor health event (`"type":"health"`, schema v2):
@@ -225,12 +249,7 @@ pub fn health_event(kind: &str, detail: &str) {
     json::escape_str_into(&mut line, detail);
     line.push('}');
 
-    let mut guard = collector();
-    let Some(collector) = guard.as_mut() else {
-        return;
-    };
-    note_thread_name(collector, tid);
-    write_line(collector, rank, &line);
+    emit(rank, tid, line, None, 0);
 }
 
 /// Emits a metrics-flush event containing the given name/value pairs.
@@ -256,12 +275,7 @@ pub(crate) fn record_metrics_flush(values: &[(String, f64)]) {
     }
     line.push_str("}}");
 
-    let mut guard = collector();
-    let Some(collector) = guard.as_mut() else {
-        return;
-    };
-    note_thread_name(collector, tid);
-    write_line(collector, rank, &line);
+    emit(rank, tid, line, None, 0);
 }
 
 /// Renders the buffered events as a `chrome://tracing` / Perfetto

@@ -36,6 +36,7 @@
 
 pub mod bytes;
 mod error;
+mod exec;
 pub mod gradcheck;
 mod memory;
 pub mod pool;
@@ -48,6 +49,7 @@ mod tape;
 mod tensor;
 
 pub use error::TensorError;
+pub use exec::{Exec, NoTape};
 pub use memory::{format_bytes, MemoryBreakdown, MemoryCategory, MemorySnapshot, MemoryTracker};
 pub use runtime::{Runtime, RuntimeScope};
 pub use shape::Shape;

@@ -126,23 +126,25 @@ impl Op {
     }
 }
 
-/// One column block of the input of [`Tape::block_linear`]: a matrix
-/// whose rows enter as they are, or gathered by an index list.
+/// One column block of the input of a block-linear layer
+/// ([`Tape::block_linear`], [`Exec::block_linear`](crate::Exec::block_linear)):
+/// a matrix whose rows enter as they are, or gathered by an index list.
+/// `V` is the executor's value type.
 #[derive(Debug, Clone)]
-pub struct BlockPart {
-    x: Var,
-    rows: Option<Arc<Vec<usize>>>,
+pub struct BlockPart<V = Var> {
+    pub(crate) x: V,
+    pub(crate) rows: Option<Arc<Vec<usize>>>,
 }
 
-impl BlockPart {
+impl<V> BlockPart<V> {
     /// Every row of `x`, in order.
-    pub fn dense(x: Var) -> Self {
+    pub fn dense(x: V) -> Self {
         BlockPart { x, rows: None }
     }
 
-    /// Rows `x[idx[0]], x[idx[1]], …` — what [`Tape::gather_rows`] would
-    /// select, without the gathered copy.
-    pub fn gathered(x: Var, idx: Arc<Vec<usize>>) -> Self {
+    /// Rows `x[idx[0]], x[idx[1]], …` — what a row gather would select,
+    /// without the gathered copy.
+    pub fn gathered(x: V, idx: Arc<Vec<usize>>) -> Self {
         BlockPart { x, rows: Some(idx) }
     }
 }
@@ -531,9 +533,9 @@ impl Tape {
     /// ```
     ///
     /// where `D = x_a·W_a + x_b·W_b + …` sums the dense parts' products in
-    /// part order and `P_g = x_g·W_g` are the gathered parts' products —
-    /// the order of the tape-free `FrozenEgnn` forward, which this equals
-    /// bitwise.
+    /// part order and `P_g = x_g·W_g` are the gathered parts' products
+    /// ([`Tensor`]'s one `block_linear` kernel, which the non-recording
+    /// executor runs too).
     ///
     /// Backward scatters the output adjoint to each gathered part's rows,
     /// takes every weight and input product at the part's row count, and
@@ -565,30 +567,14 @@ impl Tape {
     /// Panics if `parts` is empty, the parts' widths do not add up to
     /// `W`'s rows, a dense part's row count differs from the output's, or
     /// an index is out of range.
-    pub fn block_linear(&mut self, parts: &[BlockPart], w: Var, b: Var) -> Var {
-        assert!(!parts.is_empty(), "block_linear of zero parts");
-        let wv = self.value(w);
-        let mut dense: Option<Tensor> = None;
-        let mut gathered: Vec<(Tensor, &[usize])> = Vec::with_capacity(parts.len());
-        let mut r0 = 0;
-        for p in parts {
-            let x = self.value(p.x);
-            let r1 = r0 + x.cols();
-            let y = x.matmul_row_block(wv, r0, r1);
-            r0 = r1;
-            match (&p.rows, &mut dense) {
-                (Some(idx), _) => gathered.push((y, idx.as_slice())),
-                (None, Some(d)) => d.axpy(1.0, &y),
-                (None, None) => dense = Some(y),
-            }
-        }
-        assert_eq!(
-            r0,
-            wv.rows(),
-            "block_linear: parts cover {r0} of {} weight rows",
-            wv.rows()
+    pub fn block_linear<const N: usize>(&mut self, parts: &[BlockPart; N], w: Var, b: Var) -> Var {
+        let v = Tensor::block_linear(
+            parts
+                .each_ref()
+                .map(|p| (self.value(p.x), p.rows.as_deref().map(Vec::as_slice))),
+            self.value(w),
+            self.value(b),
         );
-        let v = Tensor::gathered_row_sum(dense, &gathered, self.value(b));
         let ng = parts.iter().any(|p| self.needs(p.x)) || self.needs(w) || self.needs(b);
         self.push(
             Op::BlockLinear {

@@ -496,41 +496,9 @@ impl Tensor {
     ///
     /// Panics if `row.numel() != self.cols()`.
     pub fn add_row(&self, row: &Tensor) -> Tensor {
-        let c = self.cols();
-        assert_eq!(row.numel(), c, "add_row: bias {} vs cols {c}", row.shape);
-        let mut data = copied(self);
-        let out = Arc::get_mut(&mut data).expect(UNIQUE).as_mut_slice();
-        let bias = &row.data[..];
-        self.for_each_row_chunk(out, c, |_, rows| {
-            for rrow in rows.chunks_mut(c) {
-                for (x, &b) in rrow.iter_mut().zip(bias) {
-                    *x += b;
-                }
-            }
-        });
-        Tensor {
-            shape: self.shape.clone(),
-            data,
-        }
-    }
-
-    /// Runs `body(first_row, rows)` over granule-`c` chunks of `data`,
-    /// through the pool when the tensor is large enough. Shared plumbing
-    /// for the row/col broadcast family.
-    fn for_each_row_chunk(
-        &self,
-        data: &mut [f32],
-        c: usize,
-        body: impl Fn(usize, &mut [f32]) + Sync,
-    ) {
-        if data.is_empty() || c == 0 {
-            return;
-        }
-        if use_pool(data.len(), ELEM_PAR_MIN) {
-            pool::for_each_chunk_mut(data, c, |start, chunk| body(start / c, chunk));
-        } else {
-            body(0, data);
-        }
+        let mut out = self.copy();
+        out.add_row_in_place(row);
+        out
     }
 
     /// Adds `col[r]` to every element of row `r`, broadcasting a
@@ -540,29 +508,9 @@ impl Tensor {
     ///
     /// Panics if `col.numel() != self.rows()`.
     pub fn add_col(&self, col: &Tensor) -> Tensor {
-        let c = self.cols();
-        assert_eq!(
-            col.numel(),
-            self.rows(),
-            "add_col: {} vs rows {}",
-            col.shape,
-            self.rows()
-        );
-        let mut data = copied(self);
-        let out = Arc::get_mut(&mut data).expect(UNIQUE).as_mut_slice();
-        let colv = &col.data[..];
-        self.for_each_row_chunk(out, c, |r0, rows| {
-            for (local, rrow) in rows.chunks_mut(c).enumerate() {
-                let v = colv[r0 + local];
-                for x in rrow {
-                    *x += v;
-                }
-            }
-        });
-        Tensor {
-            shape: self.shape.clone(),
-            data,
-        }
+        let mut out = self.copy();
+        out.add_col_in_place(col);
+        out
     }
 
     /// Multiplies every row element-wise by a length-`cols` row vector.
@@ -571,22 +519,9 @@ impl Tensor {
     ///
     /// Panics if `row.numel() != self.cols()`.
     pub fn mul_row(&self, row: &Tensor) -> Tensor {
-        let c = self.cols();
-        assert_eq!(row.numel(), c, "mul_row: {} vs cols {c}", row.shape);
-        let mut data = copied(self);
-        let out = Arc::get_mut(&mut data).expect(UNIQUE).as_mut_slice();
-        let scalev = &row.data[..];
-        self.for_each_row_chunk(out, c, |_, rows| {
-            for rrow in rows.chunks_mut(c) {
-                for (x, &s) in rrow.iter_mut().zip(scalev) {
-                    *x *= s;
-                }
-            }
-        });
-        Tensor {
-            shape: self.shape.clone(),
-            data,
-        }
+        let mut out = self.copy();
+        out.mul_row_in_place(row);
+        out
     }
 
     /// Multiplies row `r` of a matrix by `col[r]`, broadcasting a
@@ -596,28 +531,16 @@ impl Tensor {
     ///
     /// Panics if `col.numel() != self.rows()`.
     pub fn mul_col(&self, col: &Tensor) -> Tensor {
-        let c = self.cols();
-        assert_eq!(
-            col.numel(),
-            self.rows(),
-            "mul_col: {} vs rows {}",
-            col.shape,
-            self.rows()
-        );
-        let mut data = copied(self);
-        let out = Arc::get_mut(&mut data).expect(UNIQUE).as_mut_slice();
-        let colv = &col.data[..];
-        self.for_each_row_chunk(out, c, |r0, rows| {
-            for (local, rrow) in rows.chunks_mut(c).enumerate() {
-                let s = colv[r0 + local];
-                for x in rrow {
-                    *x *= s;
-                }
-            }
-        });
+        let mut out = self.copy();
+        out.mul_col_in_place(col);
+        out
+    }
+
+    /// A uniquely-owned copy, recycled when possible.
+    fn copy(&self) -> Tensor {
         Tensor {
             shape: self.shape.clone(),
-            data,
+            data: copied(self),
         }
     }
 
@@ -978,47 +901,92 @@ impl Tensor {
         }
     }
 
-    /// The per-row assembly of a transform-then-gather linear layer:
-    /// `out[r] = base[r] + (((P₀[i₀[r]] + P₁[i₁[r]]) + …) + bias)` for
-    /// `parts = [(P₀, i₀), (P₁, i₁), …]` — gathered rows summed left to
-    /// right, the bias added last, and that sum added onto `base[r]` (or
-    /// taken as `out[r]` when there is no base). Rows are independent,
-    /// so the pool split cannot change a bit.
+    /// The value of [`Tape::block_linear`](crate::Tape::block_linear)
+    /// (layout and summation order are documented there), shared with the
+    /// non-recording executor: part `(x, rows)` meets its own row block of
+    /// `w` and, with `rows`, enters the output gathered by them. Rows are
+    /// independent, so the pool split cannot change a bit.
     ///
     /// # Panics
     ///
-    /// Panics if there is neither a base nor a part, an index list's
-    /// length differs from the row count, an index is out of range, or a
-    /// width differs from the bias's.
-    pub(crate) fn gathered_row_sum(
-        base: Option<Tensor>,
-        parts: &[(Tensor, &[usize])],
+    /// Panics if there are no parts, the parts' widths do not add up to
+    /// `w`'s rows, a row count or width disagrees, or an index is out of
+    /// range.
+    pub(crate) fn block_linear<const N: usize>(
+        parts: [(&Tensor, Option<&[usize]>); N],
+        w: &Tensor,
         bias: &Tensor,
     ) -> Tensor {
-        /// Columns summed per pass through a stack buffer.
-        const BLOCK: usize = 64;
+        assert!(N > 0, "block_linear of zero parts");
         let c = bias.numel();
-        let rows = match (&base, parts.first()) {
+        let mut base: Option<Tensor> = None;
+        // Gathered products in part order, as (product, column offset,
+        // indices); a fixed array keeps the steady state allocation-free.
+        let mut gathered: [Option<(Tensor, usize, &[usize])>; N] = std::array::from_fn(|_| None);
+        let mut n_gathered = 0;
+        let (mut i, mut r0) = (0, 0);
+        while i < N {
+            let (x, rows) = parts[i];
+            let k = x.cols();
+            if rows.is_none() {
+                let y = x.matmul_row_block(w, r0, r0 + k);
+                match &mut base {
+                    Some(d) => d.axpy(1.0, &y),
+                    None => base = Some(y),
+                }
+                (i, r0) = (i + 1, r0 + k);
+                continue;
+            }
+            // Consecutive gathered parts of one input share one product
+            // against their row blocks laid side by side: one wider GEMM
+            // instead of several, with the same bits (every output element
+            // still sums over its own k in order).
+            let run = parts[i..]
+                .iter()
+                .take_while(|(y, r)| r.is_some() && y.same_buffer(x))
+                .count();
+            assert!(
+                r0 + run * k <= w.rows(),
+                "block_linear: parts need more than {} weight rows",
+                w.rows()
+            );
+            let y = if run == 1 {
+                x.matmul_row_block(w, r0, r0 + k)
+            } else {
+                x.matmul(&w.row_blocks_side_by_side(r0, k, run))
+            };
+            for (g, (_, idx)) in parts[i..i + run].iter().enumerate() {
+                gathered[n_gathered] = Some((y.clone(), g * c, idx.expect("gathered part")));
+                n_gathered += 1;
+            }
+            (i, r0) = (i + run, r0 + run * k);
+        }
+        assert_eq!(
+            r0,
+            w.rows(),
+            "block_linear: parts cover {r0} of {} weight rows",
+            w.rows()
+        );
+        let rows = match (&base, &gathered[0]) {
             (Some(b), _) => b.rows(),
-            (None, Some((_, idx))) => idx.len(),
-            (None, None) => panic!("gathered_row_sum: no input"),
+            (None, Some((_, _, idx))) => idx.len(),
+            (None, None) => unreachable!("at least one part"),
         };
-        for (p, idx) in parts {
-            assert_eq!(
-                p.cols(),
-                c,
-                "gathered_row_sum: part {} vs bias {c}",
+        for (p, off, idx) in gathered.iter().flatten() {
+            assert!(
+                p.cols() >= off + c,
+                "block_linear: part {} vs bias {c}",
                 p.shape
             );
             assert_eq!(
                 idx.len(),
                 rows,
-                "gathered_row_sum: {} indices for {rows} rows",
+                "block_linear: {} indices for {rows} rows",
                 idx.len()
             );
             let n = p.rows();
             for &i in idx.iter() {
-                assert!(i < n, "gathered_row_sum index {i} out of {n}");
+                assert!(i < n, "block_linear index {i} out of {n}");
             }
         }
         let has_base = base.is_some();
@@ -1026,7 +994,7 @@ impl Tensor {
         assert_eq!(
             out.cols(),
             c,
-            "gathered_row_sum: base {} vs bias {c}",
+            "block_linear: base {} vs bias {c}",
             out.shape
         );
         if out.numel() == 0 {
@@ -1036,35 +1004,30 @@ impl Tensor {
         let dst = Arc::make_mut(&mut out.data).as_mut_slice();
         let bias = &bias.data[..];
         let body = |r0: usize, chunk: &mut [f32]| {
-            let mut buf = [0.0f32; BLOCK];
             for (local, orow) in chunk.chunks_mut(c).enumerate() {
                 let r = r0 + local;
-                for c0 in (0..c).step_by(BLOCK) {
-                    let w = BLOCK.min(c - c0);
-                    let acc = &mut buf[..w];
-                    let bias = &bias[c0..c0 + w];
-                    match parts.split_first() {
-                        Some(((p, idx), rest)) => {
-                            acc.copy_from_slice(&p.data[idx[r] * c + c0..][..w]);
-                            for (p, idx) in rest {
-                                let row = &p.data[idx[r] * c + c0..][..w];
-                                for (a, &x) in acc.iter_mut().zip(row) {
-                                    *a += x;
-                                }
-                            }
-                            for (a, &b) in acc.iter_mut().zip(bias) {
-                                *a += b;
-                            }
+                // This output row's gathered input rows, in part order.
+                let rows: [&[f32]; N] = std::array::from_fn(|g| match &gathered[g] {
+                    Some((p, off, idx)) => &p.data[idx[r] * p.cols() + off..][..c],
+                    None => &[],
+                });
+                match &rows[..n_gathered] {
+                    // An edge layer's two gathered parts, in one fused pass.
+                    [p, q] if has_base => {
+                        for (((o, &p), &q), &b) in orow.iter_mut().zip(*p).zip(*q).zip(bias) {
+                            *o += (p + q) + b;
                         }
-                        None => acc.copy_from_slice(bias),
                     }
-                    let o = &mut orow[c0..c0 + w];
-                    if has_base {
-                        for (o, &a) in o.iter_mut().zip(acc.iter()) {
-                            *o += a;
+                    rows => {
+                        for (j, (o, &b)) in orow.iter_mut().zip(bias).enumerate() {
+                            let sum = match rows.split_first() {
+                                Some((first, rest)) => {
+                                    rest.iter().fold(first[j], |a, r| a + r[j]) + b
+                                }
+                                None => b,
+                            };
+                            *o = if has_base { *o + sum } else { sum };
                         }
-                    } else {
-                        o.copy_from_slice(acc);
                     }
                 }
             }
@@ -1217,15 +1180,13 @@ impl Tensor {
     }
 
     // ------------------------------------------------------------------
-    // Eval-path in-place ops (inference engine)
+    // In-place ops (the non-recording executor)
     //
-    // The tape keeps every op's output alive for backward, so the training
-    // path is built from value-producing ops. Inference has no adjoints:
-    // an activation or bias add can overwrite its input, skipping one
-    // recycler round-trip per op. Each method below computes exactly what
-    // its out-of-place namesake computes, element for element, so the
-    // frozen forward stays bitwise comparable to the tape forward
-    // wherever the op sequence matches.
+    // The tape keeps every op's output alive for backward; without a tape
+    // an activation or bias add can overwrite its input. Each method below
+    // computes exactly what its out-of-place namesake computes, element
+    // for element (the broadcast family's namesakes run it on a copy), so
+    // both executors give the same bits.
     // ------------------------------------------------------------------
 
     /// Shared plumbing for the in-place unary family. The [`simd`] unary
@@ -1311,31 +1272,7 @@ impl Tensor {
     ///
     /// Panics if `row.numel() != self.cols()`.
     pub fn add_row_in_place(&mut self, row: &Tensor) {
-        let c = self.cols();
-        assert_eq!(
-            row.numel(),
-            c,
-            "add_row_in_place: bias {} vs cols {c}",
-            row.shape
-        );
-        if self.numel() == 0 || c == 0 {
-            return;
-        }
-        let pooled = use_pool(self.numel(), ELEM_PAR_MIN);
-        let dst = Arc::make_mut(&mut self.data).as_mut_slice();
-        let bias = &row.data[..];
-        let body = |rows: &mut [f32]| {
-            for rrow in rows.chunks_mut(c) {
-                for (x, &b) in rrow.iter_mut().zip(bias) {
-                    *x += b;
-                }
-            }
-        };
-        if pooled {
-            pool::for_each_chunk_mut(dst, c, |_, chunk| body(chunk));
-        } else {
-            body(dst);
-        }
+        self.broadcast_in_place(row, false, "add_row", |x, b| *x += b);
     }
 
     /// In-place [`mul_row`](Tensor::mul_row).
@@ -1344,31 +1281,7 @@ impl Tensor {
     ///
     /// Panics if `row.numel() != self.cols()`.
     pub fn mul_row_in_place(&mut self, row: &Tensor) {
-        let c = self.cols();
-        assert_eq!(
-            row.numel(),
-            c,
-            "mul_row_in_place: {} vs cols {c}",
-            row.shape
-        );
-        if self.numel() == 0 || c == 0 {
-            return;
-        }
-        let pooled = use_pool(self.numel(), ELEM_PAR_MIN);
-        let dst = Arc::make_mut(&mut self.data).as_mut_slice();
-        let scalev = &row.data[..];
-        let body = |rows: &mut [f32]| {
-            for rrow in rows.chunks_mut(c) {
-                for (x, &s) in rrow.iter_mut().zip(scalev) {
-                    *x *= s;
-                }
-            }
-        };
-        if pooled {
-            pool::for_each_chunk_mut(dst, c, |_, chunk| body(chunk));
-        } else {
-            body(dst);
-        }
+        self.broadcast_in_place(row, false, "mul_row", |x, s| *x *= s);
     }
 
     /// In-place [`add_col`](Tensor::add_col).
@@ -1377,33 +1290,7 @@ impl Tensor {
     ///
     /// Panics if `col.numel() != self.rows()`.
     pub fn add_col_in_place(&mut self, col: &Tensor) {
-        let c = self.cols();
-        assert_eq!(
-            col.numel(),
-            self.rows(),
-            "add_col_in_place: {} vs rows {}",
-            col.shape,
-            self.rows()
-        );
-        if self.numel() == 0 || c == 0 {
-            return;
-        }
-        let pooled = use_pool(self.numel(), ELEM_PAR_MIN);
-        let dst = Arc::make_mut(&mut self.data).as_mut_slice();
-        let colv = &col.data[..];
-        let body = |r0: usize, rows: &mut [f32]| {
-            for (local, rrow) in rows.chunks_mut(c).enumerate() {
-                let v = colv[r0 + local];
-                for x in rrow {
-                    *x += v;
-                }
-            }
-        };
-        if pooled {
-            pool::for_each_chunk_mut(dst, c, |start, chunk| body(start / c, chunk));
-        } else {
-            body(0, dst);
-        }
+        self.broadcast_in_place(col, true, "add_col", |x, v| *x += v);
     }
 
     /// In-place [`mul_col`](Tensor::mul_col).
@@ -1412,25 +1299,37 @@ impl Tensor {
     ///
     /// Panics if `col.numel() != self.rows()`.
     pub fn mul_col_in_place(&mut self, col: &Tensor) {
-        let c = self.cols();
-        assert_eq!(
-            col.numel(),
-            self.rows(),
-            "mul_col_in_place: {} vs rows {}",
-            col.shape,
-            self.rows()
-        );
+        self.broadcast_in_place(col, true, "mul_col", |x, s| *x *= s);
+    }
+
+    /// The broadcast family's one loop: `f(x, v)` for every element `x`,
+    /// with `v` the entry of a length-`cols` row (`by_col` false) or of a
+    /// length-`rows` column (`by_col` true) — split across the pool for
+    /// large tensors (rows never straddle a chunk, so the split cannot
+    /// change a bit).
+    fn broadcast_in_place(
+        &mut self,
+        v: &Tensor,
+        by_col: bool,
+        op: &str,
+        f: impl Fn(&mut f32, f32) + Sync,
+    ) {
+        let (r, c) = (self.rows(), self.cols());
+        let (want, axis) = if by_col { (r, "rows") } else { (c, "cols") };
+        assert_eq!(v.numel(), want, "{op}: {} vs {axis} {want}", v.shape);
         if self.numel() == 0 || c == 0 {
             return;
         }
         let pooled = use_pool(self.numel(), ELEM_PAR_MIN);
         let dst = Arc::make_mut(&mut self.data).as_mut_slice();
-        let colv = &col.data[..];
+        let v = &v.data[..];
         let body = |r0: usize, rows: &mut [f32]| {
             for (local, rrow) in rows.chunks_mut(c).enumerate() {
-                let s = colv[r0 + local];
-                for x in rrow {
-                    *x *= s;
+                if by_col {
+                    let s = v[r0 + local];
+                    rrow.iter_mut().for_each(|x| f(x, s));
+                } else {
+                    rrow.iter_mut().zip(v).for_each(|(x, &b)| f(x, b));
                 }
             }
         };
@@ -1452,6 +1351,31 @@ impl Tensor {
     /// hand-off, never a requirement.
     pub fn recycle(self) {
         drop(self);
+    }
+
+    /// Whether both handles view the same buffer with the same shape.
+    fn same_buffer(&self, other: &Tensor) -> bool {
+        Arc::ptr_eq(&self.data, &other.data) && self.shape == other.shape
+    }
+
+    /// Row blocks `[r0 + g·k, r0 + (g+1)·k)` of this matrix for `g <
+    /// count`, laid side by side as one `[k × count·cols]` matrix.
+    fn row_blocks_side_by_side(&self, r0: usize, k: usize, count: usize) -> Tensor {
+        let c = self.cols();
+        Tensor::build(Shape::matrix(k, count * c), |out| {
+            for kk in 0..k {
+                for g in 0..count {
+                    let r = r0 + g * k + kk;
+                    out.extend_from_slice(&self.data[r * c..(r + 1) * c]);
+                }
+            }
+        })
+    }
+
+    /// Whether this handle is its buffer's only owner, so an in-place op
+    /// cannot be seen through another handle.
+    pub(crate) fn is_unique(&self) -> bool {
+        Arc::strong_count(&self.data) == 1
     }
 
     /// The placeholder installed where a tape node's forward value used to

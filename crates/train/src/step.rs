@@ -79,12 +79,12 @@ fn vanilla_impl<M: GnnModel + ?Sized>(
     tracker: Option<&MemoryTracker>,
     sink: Option<&mut dyn FnMut(usize, Tensor)>,
 ) -> StepOutcome {
-    let mut tape = new_tape(tracker);
-    let (pvars, out) = {
+    let (mut tape, pvars, out) = {
         let _span = matgnn_telemetry::span("forward");
+        let mut tape = new_tape(tracker);
         let pvars = model.params().bind(&mut tape);
         let out = model.forward(&mut tape, &pvars, batch);
-        (pvars, out)
+        (tape, pvars, out)
     };
     let (loss, loss_val) = {
         let _span = matgnn_telemetry::span("loss");
@@ -97,7 +97,7 @@ fn vanilla_impl<M: GnnModel + ?Sized>(
     }
     let g = {
         let _span = matgnn_telemetry::span("backward");
-        match sink {
+        let g = match sink {
             Some(s) => {
                 let _ = tape.backward_with_leaf_sink(loss, &pvars, s);
                 Vec::new()
@@ -106,11 +106,14 @@ fn vanilla_impl<M: GnnModel + ?Sized>(
                 let mut grads = tape.backward(loss);
                 collect_param_grads(model.params(), &pvars, &mut grads)
             }
+        };
+        if let Some(t) = tracker {
+            t.snapshot("after backward");
         }
+        // Releasing the tape's last values is part of the backward pass.
+        drop(tape);
+        g
     };
-    if let Some(t) = tracker {
-        t.snapshot("after backward");
-    }
     StepOutcome {
         loss: loss_val,
         grads: g,
