@@ -11,8 +11,9 @@
 //! The allocation legs run at pool-of-1 so the numbers isolate tensor
 //! buffer traffic from the worker pool's per-dispatch job handles; the
 //! bitwise leg runs at the configured pool size. Exits non-zero if the
-//! recycler changes any bit of the training trajectory or saves less than
-//! 90% of steady-state allocations, so CI can gate on it.
+//! recycler changes any bit of the training trajectory, saves less than
+//! 90% of steady-state allocations, or parks more buffers than it ever
+//! freshly allocated, so CI can gate on it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -184,6 +185,11 @@ fn main() {
     let rec0 = recycler::stats();
     let on = measure_leg(true, &batch, &targets, &loss_cfg, hidden, warmup, steps);
     let rec = recycler::stats().delta_since(&rec0);
+    // The pool parks only buffers it lent, so it can never hold more than
+    // it freshly allocated over the whole process.
+    let pooled = recycler::pooled_buffers();
+    let pooled_mib = recycler::pooled_bytes() as f64 / (1024.0 * 1024.0);
+    let misses_total = recycler::stats().misses;
     drop(pool_of_1);
 
     let reduction = 1.0 - on.allocs_per_step / off.allocs_per_step;
@@ -208,6 +214,9 @@ fn main() {
         rec.misses,
         rec.released,
         rec.bytes_reused as f64 / (1024.0 * 1024.0)
+    );
+    println!(
+        "recycler pooled {pooled} buffers ({pooled_mib:.2} MiB), {misses_total} misses since start"
     );
 
     // — bitwise trajectory at the configured pool size —
@@ -237,6 +246,7 @@ fn main() {
          \"ns_per_step_off\": {:.0},\n  \"ns_per_step_on\": {:.0},\n  \
          \"alloc_reduction\": {:.4},\n  \"recycler_hits\": {},\n  \
          \"recycler_misses\": {},\n  \"mib_reused\": {:.1},\n  \
+         \"pooled_buffers\": {pooled},\n  \"pooled_mib\": {pooled_mib:.2},\n  \
          \"bitwise_equal\": {},\n  \"tracked_peak_equal\": {peak_equal}\n}}\n",
         off.allocs_per_step,
         on.allocs_per_step,
@@ -260,6 +270,10 @@ fn main() {
     }
     if !peak_equal {
         eprintln!("ERROR: MemoryTracker peak changed with the recycler");
+        failed = true;
+    }
+    if pooled as u64 > misses_total {
+        eprintln!("ERROR: recycler holds {pooled} buffers but allocated only {misses_total}");
         failed = true;
     }
     if reduction < 0.90 {

@@ -22,13 +22,37 @@ use std::time::{Duration, Instant};
 
 use crate::collective::FailureHandle;
 
+/// Where a [`Heartbeat`] reads time and its [`Watchdog`] waits between
+/// polls. Production runs on [`RealClock`]; tests drive a virtual clock,
+/// so a deadline lapses only when the test says so.
+trait Clock: Send + Sync + std::fmt::Debug {
+    /// Time elapsed since the clock's origin.
+    fn now(&self) -> Duration;
+    /// Blocks the calling thread for `d` of this clock's time.
+    fn sleep(&self, d: Duration);
+}
+
+/// Wall-clock time since construction.
+#[derive(Debug)]
+struct RealClock(Instant);
+
+impl Clock for RealClock {
+    fn now(&self) -> Duration {
+        self.0.elapsed()
+    }
+
+    fn sleep(&self, d: Duration) {
+        std::thread::sleep(d);
+    }
+}
+
 /// A rank's step-progress pulse, shared between the training thread (which
 /// beats), the collective wait loops (which park around blocking waits),
 /// and the [`Watchdog`] (which reads).
 #[derive(Debug)]
 pub struct Heartbeat {
-    /// Reference instant; beats are stored as microseconds since it.
-    epoch: Instant,
+    /// Time source; beats are stored as microseconds since its origin.
+    clock: Arc<dyn Clock>,
     /// Microseconds-since-epoch of the most recent beat.
     last_beat_us: AtomicU64,
     /// Number of blocking waits currently in progress (collective
@@ -40,11 +64,18 @@ pub struct Heartbeat {
 }
 
 impl Heartbeat {
-    /// A fresh heartbeat that counts as having just beaten.
+    /// A fresh heartbeat on the wall clock that counts as having just
+    /// beaten.
     pub fn new() -> Arc<Heartbeat> {
+        Heartbeat::with_clock(Arc::new(RealClock(Instant::now())))
+    }
+
+    /// A fresh heartbeat on `clock` that counts as having just beaten at
+    /// the clock's current time.
+    fn with_clock(clock: Arc<dyn Clock>) -> Arc<Heartbeat> {
         Arc::new(Heartbeat {
-            epoch: Instant::now(),
-            last_beat_us: AtomicU64::new(0),
+            last_beat_us: AtomicU64::new(clock.now().as_micros() as u64),
+            clock,
             parked: AtomicUsize::new(0),
             done: AtomicBool::new(false),
         })
@@ -53,12 +84,12 @@ impl Heartbeat {
     /// Publishes progress: resets the staleness clock.
     pub fn beat(&self) {
         self.last_beat_us
-            .store(self.epoch.elapsed().as_micros() as u64, Ordering::Release);
+            .store(self.clock.now().as_micros() as u64, Ordering::Release);
     }
 
     /// Time since the most recent beat.
     pub fn lag(&self) -> Duration {
-        let now = self.epoch.elapsed().as_micros() as u64;
+        let now = self.clock.now().as_micros() as u64;
         Duration::from_micros(now.saturating_sub(self.last_beat_us.load(Ordering::Acquire)))
     }
 
@@ -157,8 +188,16 @@ impl Watchdog {
                     if stop_flag.load(Ordering::Acquire) || beat.is_done() {
                         return;
                     }
-                    let lag = beat.lag();
-                    if !beat.is_parked() && lag > deadline {
+                    // Parked is read first: `unpark` beats before it
+                    // unparks, so a lag read after seeing the rank unparked
+                    // is fresh, while one read before could be the stale
+                    // lag of a wait that just ended.
+                    let lag = if beat.is_parked() {
+                        Duration::ZERO
+                    } else {
+                        beat.lag()
+                    };
+                    if lag > deadline {
                         matgnn_telemetry::health_event(
                             "supervisor.watchdog",
                             &format!(
@@ -177,7 +216,7 @@ impl Watchdog {
                         fired_flag.store(true, Ordering::Release);
                         return;
                     }
-                    std::thread::sleep(poll);
+                    beat.clock.sleep(poll);
                 }
             })
             .expect("spawn watchdog thread");
@@ -218,10 +257,52 @@ mod tests {
     use super::*;
     use crate::{Communicator, CostModel};
 
+    /// A clock that moves only when the test advances it. Its `sleep`
+    /// counts the poll and yields briefly in real time, so a watchdog on
+    /// it keeps polling and `stop` still returns.
+    #[derive(Debug, Default)]
+    struct VirtualClock {
+        now_us: AtomicU64,
+        sleeps: AtomicU64,
+    }
+
+    impl VirtualClock {
+        fn advance(&self, d: Duration) {
+            self.now_us
+                .fetch_add(d.as_micros() as u64, Ordering::SeqCst);
+        }
+
+        /// Returns once `dog` has run a whole poll after the last
+        /// `advance` (or has fired). A poll under way may have read the
+        /// old time; the one after its sleep reads the new.
+        fn settle(&self, dog: &Watchdog) {
+            let target = self.sleeps.load(Ordering::SeqCst) + 2;
+            let start = Instant::now();
+            while self.sleeps.load(Ordering::SeqCst) < target
+                && !dog.fired()
+                && start.elapsed() < Duration::from_secs(5)
+            {
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    impl Clock for VirtualClock {
+        fn now(&self) -> Duration {
+            Duration::from_micros(self.now_us.load(Ordering::SeqCst))
+        }
+
+        fn sleep(&self, _: Duration) {
+            self.sleeps.fetch_add(1, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_micros(100));
+        }
+    }
+
     #[test]
     fn beats_keep_the_lag_small() {
-        let hb = Heartbeat::new();
-        std::thread::sleep(Duration::from_millis(5));
+        let clock = Arc::new(VirtualClock::default());
+        let hb = Heartbeat::with_clock(clock.clone());
+        clock.advance(Duration::from_millis(5));
         assert!(hb.lag() >= Duration::from_millis(4));
         hb.beat();
         assert!(hb.lag() < Duration::from_millis(5));
@@ -229,7 +310,8 @@ mod tests {
 
     #[test]
     fn park_guard_nests_and_beats_on_exit() {
-        let hb = Heartbeat::new();
+        let clock = Arc::new(VirtualClock::default());
+        let hb = Heartbeat::with_clock(clock.clone());
         {
             let _outer = ParkGuard::new(Arc::clone(&hb));
             assert!(hb.is_parked());
@@ -238,7 +320,7 @@ mod tests {
                 assert!(hb.is_parked());
             }
             assert!(hb.is_parked());
-            std::thread::sleep(Duration::from_millis(3));
+            clock.advance(Duration::from_millis(3));
         }
         assert!(!hb.is_parked());
         // The guard beat on exit: the stall clock restarted.
@@ -268,7 +350,8 @@ mod tests {
     #[test]
     fn watchdog_stays_quiet_while_parked_or_beating() {
         let comms = Communicator::create(1, CostModel::default());
-        let hb = Heartbeat::new();
+        let clock = Arc::new(VirtualClock::default());
+        let hb = Heartbeat::with_clock(clock.clone());
         let dog = Watchdog::spawn(
             "rank0".into(),
             Arc::clone(&hb),
@@ -278,12 +361,14 @@ mod tests {
         // Beating regularly: never fires.
         for _ in 0..6 {
             hb.beat();
-            std::thread::sleep(Duration::from_millis(5));
+            clock.advance(Duration::from_millis(5));
+            clock.settle(&dog);
         }
         assert!(!dog.fired());
         // Parked (blocked in a collective): never fires even when stale.
         hb.park();
-        std::thread::sleep(Duration::from_millis(40));
+        clock.advance(Duration::from_millis(40));
+        clock.settle(&dog);
         assert!(!dog.fired());
         hb.unpark();
         assert!(!dog.stop(), "watchdog fired spuriously");
