@@ -2,8 +2,7 @@
 //! residual feature updates at depth (the over-smoothing mitigation the
 //! paper's Fig. 5 discussion motivates), the optional edge gate, RBF
 //! distance featurization, per-source (multi-fidelity) normalization, the
-//! LLM-style LR schedule, and EGNN vs parameter-matched GCN / GAT
-//! baselines.
+//! LLM-style LR schedule, LayerNorm and the force-prediction mode.
 //!
 //! ```sh
 //! cargo run --release -p matgnn-bench --bin exp_ablations -- [--quick|--full]
@@ -16,7 +15,7 @@ fn main() {
     let mode = RunMode::from_args();
     let cfg = mode.experiment_config();
     banner(
-        "Ablations: residual updates, edge gate, LR schedule, architecture",
+        "Ablations: residual updates, edge gate, LR schedule, normalization",
         mode,
     );
 
@@ -51,29 +50,6 @@ fn main() {
         if res_on.test_loss < res_off.test_loss { "residuals help deep models ✓" } else { "no benefit at this scale" },
         res_off.test_loss,
         res_on.test_loss
-    );
-    let egnn = pick("architecture", "egnn");
-    let gcn = pick("architecture", "gcn");
-    let gat = pick("architecture", "gat");
-    println!(
-        "  EGNN vs GCN forces: {:.4} vs {:.4} eV/Å — {}",
-        egnn.force_mae,
-        gcn.force_mae,
-        if egnn.force_mae < gcn.force_mae {
-            "equivariance pays off ✓ (the paper's Sec. III-B model choice)"
-        } else {
-            "unexpected at this scale"
-        }
-    );
-    println!(
-        "  GAT (attention) test loss {:.4} vs EGNN {:.4} — {}",
-        gat.test_loss,
-        egnn.test_loss,
-        if gat.test_loss < egnn.test_loss {
-            "attention already wins at this scale (the paper's Sec. IV-A conjecture)"
-        } else {
-            "EGNN leads here; the paper conjectures attention helps beyond 2B params"
-        }
     );
     let rbf_off = pick("rbf", "raw-dist2");
     let rbf_on = pick("rbf", "gaussian-16");

@@ -12,16 +12,18 @@
 //!
 //! Exits non-zero if any kernel diverges bitwise across pool sizes,
 //! exceeds the cross-tier parity tolerance, regresses below 0.95× under
-//! the pool, or the vector matmul microkernel misses its per-tier
-//! single-thread speedup floor (4× on AVX-512 hosts, 3× on AVX2-only —
-//! the scalar tier auto-vectorizes to SSE2, capping the AVX2 ceiling
-//! near 4×) or leaves `matmul_nt` or `matmul_tn` more than 1.3× behind
-//! `matmul` on the same shape (timed interleaved with it, single-thread)
-//! — so CI can use it as a correctness and perf gate. The backward
-//! products read their transposed operand through strides (no transposed
-//! copy); besides the square case, the `tn` gate runs on the EGNN
-//! weight-gradient shape `[1300×128]ᵀ·[1300×128]`, whose `k ≫ n` regime
-//! is where a copied transpose used to cost the most.
+//! the pool (serial vs pooled timed interleaved; each row records whether
+//! the kernel's size engaged the pool at all), or the vector matmul
+//! microkernel misses its per-tier single-thread speedup floor (4× on
+//! AVX-512 hosts, 3× on AVX2-only — the scalar tier auto-vectorizes to
+//! SSE2, capping the AVX2 ceiling near 4×) or leaves `matmul_nt` or
+//! `matmul_tn` more than 1.3× behind `matmul` on the same shape (timed
+//! interleaved with it, single-thread) — so CI can use it as a
+//! correctness and perf gate. The backward products read their transposed
+//! operand through strides (no transposed copy); besides the square case,
+//! the `tn` gate runs on the EGNN weight-gradient shape
+//! `[1300×128]ᵀ·[1300×128]`, whose `k ≫ n` regime is where a copied
+//! transpose used to cost the most.
 
 use matgnn::prelude::*;
 use matgnn::tensor::rng::Rng;
@@ -30,8 +32,8 @@ use matgnn::train::{train_step, AdamHyper};
 use matgnn_bench::{banner, csv_row, RunMode};
 use std::time::{Duration, Instant};
 
-/// Pooled speedup (active tier serial / pooled) below which a kernel is
-/// considered to have regressed under the pool.
+/// Pooled speedup (active tier serial / pooled, timed interleaved) below
+/// which a kernel is considered to have regressed under the pool.
 const MIN_POOLED_SPEEDUP: f64 = 0.95;
 
 /// Required single-thread vector-vs-scalar speedup for the matmul kernel
@@ -57,6 +59,12 @@ struct Row {
     scalar_ms: f64,
     serial_ms: f64,
     pooled_ms: f64,
+    /// Serial / pooled time from [`interleaved_ratio`]: what the pool
+    /// floor gates.
+    pooled_speedup: f64,
+    /// Whether the pooled leg handed any work to the pool; below its size
+    /// threshold a kernel stays serial and both legs time the same code.
+    pool_engaged: bool,
     equal: bool,
     cross_tier_max_diff: f64,
     cross_tier_ok: bool,
@@ -84,23 +92,24 @@ fn time_leg(threads: usize, reps: usize, run: &dyn Fn() -> Vec<u32>) -> (f64, Ve
 /// A timed kernel: runs once and returns its output bits.
 type Kernel<'a> = &'a dyn Fn() -> Vec<u32>;
 
-/// Single-thread time ratio `slow / fast`, best-of each over ~200 ms with
-/// the two kernels' repetitions interleaved. A slow spell on a shared host
-/// then inflates both; timed as separate legs it lands on one side of the
-/// ratio (consecutive quick runs on the 2-vCPU reference host read
-/// `matmul_tn / matmul` anywhere from 0.72× to 1.39× that way).
-fn interleaved_ratio(slow: Kernel, fast: Kernel) -> f64 {
-    let _rt = Runtime::current().with_threads(1).enter();
-    let (mut best_slow, mut best_fast) = (f64::INFINITY, f64::INFINITY);
+/// Time ratio `slow / fast` of two kernels, each run at its own pool size:
+/// best-of each over ~200 ms with the two sides' repetitions interleaved.
+/// A slow spell on a shared host then inflates both; timed as separate
+/// legs it lands on one side of the ratio (consecutive quick runs on the
+/// 2-vCPU reference host read `matmul_tn / matmul` anywhere from 0.72× to
+/// 1.39×, and a serial `sum_axis0` against itself 0.86×, that way).
+fn interleaved_ratio(slow: (Kernel, usize), fast: (Kernel, usize)) -> f64 {
+    let mut best = [f64::INFINITY; 2];
     let deadline = Instant::now() + Duration::from_millis(200);
     while Instant::now() < deadline {
-        for (run, best) in [(slow, &mut best_slow), (fast, &mut best_fast)] {
+        for (i, (run, threads)) in [slow, fast].into_iter().enumerate() {
+            let _rt = Runtime::current().with_threads(threads).enter();
             let t0 = Instant::now();
             std::hint::black_box(run());
-            *best = best.min(t0.elapsed().as_secs_f64());
+            best[i] = best[i].min(t0.elapsed().as_secs_f64());
         }
     }
-    best_slow / best_fast
+    best[0] / best[1]
 }
 
 /// Max elementwise `|a − b| / (1 + |a|)` between two bit-vectors viewed as
@@ -136,7 +145,10 @@ fn bench(
     // Leg 2: active tier, pool of 1 — isolates the SIMD speedup.
     let (serial_ms, serial_out) = time_leg(1, reps, run);
     // Leg 3: active tier, configured pool — isolates the pool speedup.
+    let jobs_before = pool::jobs_submitted();
     let (pooled_ms, pooled_out) = time_leg(threads, reps, run);
+    let pool_engaged = pool::jobs_submitted() > jobs_before;
+    let pooled_speedup = interleaved_ratio((run, 1), (run, threads));
 
     let equal = serial_out == pooled_out;
     let cross_tier_max_diff = max_norm_diff(&scalar_out, &serial_out);
@@ -145,7 +157,9 @@ fn bench(
     let speedup = serial_ms / pooled_ms;
     println!(
         "{name:<18} scalar {scalar_ms:>9.3} ms   simd {serial_ms:>9.3} ms ({simd_speedup:>5.2}x)   \
-         pool({threads}) {pooled_ms:>9.3} ms ({speedup:>5.2}x)   bitwise {}   parity {}",
+         pool({threads}) {pooled_ms:>9.3} ms ({speedup:>5.2}x, interleaved {pooled_speedup:>5.2}x{})   \
+         bitwise {}   parity {}",
+        if pool_engaged { "" } else { ", serial" },
         if equal { "OK" } else { "DIVERGED" },
         if cross_tier_ok { "OK" } else { "FAILED" },
     );
@@ -156,6 +170,8 @@ fn bench(
         format!("{pooled_ms:.3}"),
         format!("{simd_speedup:.2}"),
         format!("{speedup:.2}"),
+        format!("{pooled_speedup:.2}"),
+        pool_engaged.to_string(),
         equal.to_string(),
         cross_tier_ok.to_string(),
     ]);
@@ -164,6 +180,8 @@ fn bench(
         scalar_ms,
         serial_ms,
         pooled_ms,
+        pooled_speedup,
+        pool_engaged,
         equal,
         cross_tier_max_diff,
         cross_tier_ok,
@@ -191,6 +209,7 @@ fn write_json(path: &str, mode: RunMode, threads: usize, rows: &[Row]) -> std::i
         s.push_str(&format!(
             "    {{\"name\": \"{}\", \"scalar_ms\": {:.3}, \"serial_ms\": {:.3}, \
              \"pooled_ms\": {:.3}, \"simd_speedup\": {:.3}, \"speedup\": {:.3}, \
+             \"pooled_speedup_interleaved\": {:.3}, \"pool_engaged\": {}, \
              \"bitwise_equal\": {}, \"cross_tier_max_diff\": {:.3e}, \"cross_tier_ok\": {}}}{}\n",
             r.name,
             r.scalar_ms,
@@ -198,6 +217,8 @@ fn write_json(path: &str, mode: RunMode, threads: usize, rows: &[Row]) -> std::i
             r.pooled_ms,
             r.scalar_ms / r.serial_ms,
             r.serial_ms / r.pooled_ms,
+            r.pooled_speedup,
+            r.pool_engaged,
             r.equal,
             r.cross_tier_max_diff,
             r.cross_tier_ok,
@@ -237,7 +258,7 @@ fn main() {
     );
     println!(
         "csv header: kernel,scalar_ms,serial_ms,pooled_ms,simd_speedup,speedup,\
-         bitwise_equal,cross_tier_ok"
+         pooled_speedup_interleaved,pool_engaged,bitwise_equal,cross_tier_ok"
     );
 
     let mut rng = Rng::seed_from_u64(17);
@@ -366,7 +387,7 @@ fn main() {
     let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
     let oversubscribed = threads > avail;
     for r in rows.iter().filter(|r| r.name != "train_step") {
-        let pooled_speedup = r.serial_ms / r.pooled_ms;
+        let pooled_speedup = r.pooled_speedup;
         if pooled_speedup < MIN_POOLED_SPEEDUP {
             if oversubscribed {
                 eprintln!(
@@ -376,8 +397,9 @@ fn main() {
                 );
             } else {
                 eprintln!(
-                    "ERROR: {} regressed under the pool ({pooled_speedup:.2}x < {MIN_POOLED_SPEEDUP}x)",
-                    r.name
+                    "ERROR: {} regressed under the pool ({pooled_speedup:.2}x < \
+                     {MIN_POOLED_SPEEDUP}x interleaved; pool engaged: {})",
+                    r.name, r.pool_engaged
                 );
                 failed = true;
             }
@@ -416,7 +438,7 @@ fn main() {
             ),
         ];
         for (name, strided, base, plain, max) in gates {
-            let ratio = interleaved_ratio(strided, plain);
+            let ratio = interleaved_ratio((strided, 1), (plain, 1));
             println!("{name} / {base}: {ratio:.2}x single-thread (interleaved best-of)");
             if ratio > max {
                 eprintln!(

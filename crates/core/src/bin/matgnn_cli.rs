@@ -28,7 +28,7 @@ fn main() -> ExitCode {
         Some((a, tail)) if cmd == "ledger" && !a.starts_with("--") => (Some(a.as_str()), tail),
         _ => (None, rest),
     };
-    let opts = match parse_opts(rest) {
+    let opts = match parse_opts(cmd, rest) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
@@ -185,13 +185,60 @@ Telemetry: `train` and `ddp` accept --telemetry DIR (or the
 MATGNN_TELEMETRY env var) to write per-rank JSONL event logs plus a
 chrome://tracing / Perfetto trace.json into DIR. `train`, `ddp`, and
 `graphpar` accept --ledger FILE to append the run's scaling coordinates
-(params, atoms seen, FLOPs, loss curve) to the run ledger."
+(params, atoms seen, FLOPs, loss curve) to the run ledger. Any other flag
+a subcommand does not list above is an error."
     );
 }
 
 type Opts = HashMap<String, String>;
 
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
+/// Flags `main` reads before dispatch, so every subcommand accepts them.
+const GLOBAL_FLAGS: &str = "telemetry ledger";
+/// Flags that take no value.
+const BOOL_FLAGS: &[&str] = &["checkpointing", "resume", "zero", "supervise", "overlap"];
+/// What [`load_or_generate`] reads.
+const DATA_FLAGS: &str = "data graphs seed";
+/// What [`supervision_opts`] reads.
+const SUPERVISE_FLAGS: &str = "supervise anomaly-window max-rollbacks";
+const CHECKPOINT_FLAGS: &str = "checkpoint-dir checkpoint-every resume keep-checkpoints";
+
+/// The flags subcommand `cmd` reads, or `None` for an unknown command
+/// (which dispatch rejects by name).
+fn flags_of(cmd: &str) -> Option<Vec<&'static str>> {
+    let groups: &[&str] = match cmd {
+        "generate" => &["graphs seed out"],
+        "train" => &[
+            DATA_FLAGS,
+            SUPERVISE_FLAGS,
+            CHECKPOINT_FLAGS,
+            "params layers epochs batch checkpointing save",
+        ],
+        "ddp" => &[
+            DATA_FLAGS,
+            SUPERVISE_FLAGS,
+            CHECKPOINT_FLAGS,
+            "params layers world epochs batch zero fault-plan progress-deadline-ms save",
+        ],
+        "graphpar" => {
+            &["world parts atoms cutoff hidden layers steps lr seed zero overlap fault-plan"]
+        }
+        "evaluate" => &[DATA_FLAGS, "model"],
+        "serve" => &[
+            "model params layers seed requests graphs workers max-atoms max-graphs",
+            "queue-capacity slo-ms metrics-addr metrics-hold-ms",
+        ],
+        "info" => &["model"],
+        "telemetry-validate" => &["dir"],
+        "trace" => &["dir merged-trace flame"],
+        "ledger" | "help" | "--help" | "-h" => &[],
+        _ => return None,
+    };
+    let all = groups.iter().chain([&GLOBAL_FLAGS]);
+    Some(all.flat_map(|g| g.split_whitespace()).collect())
+}
+
+fn parse_opts(cmd: &str, args: &[String]) -> Result<Opts, String> {
+    let known = flags_of(cmd);
     let mut opts = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -199,11 +246,12 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         let Some(name) = key.strip_prefix("--") else {
             return Err(format!("expected --flag, got `{key}`"));
         };
-        // Boolean flags take no value.
-        if matches!(
-            name,
-            "checkpointing" | "resume" | "zero" | "supervise" | "overlap"
-        ) {
+        if let Some(known) = &known {
+            if !known.contains(&name) {
+                return Err(format!("unknown flag `--{name}` for `{cmd}`"));
+            }
+        }
+        if BOOL_FLAGS.contains(&name) {
             opts.insert(name.to_string(), "true".to_string());
             i += 1;
             continue;

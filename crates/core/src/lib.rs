@@ -63,9 +63,8 @@ pub mod prelude {
     };
     pub use matgnn_model::checkpoint::{egnn_from_bytes, egnn_to_bytes, load_egnn, save_egnn};
     pub use matgnn_model::{
-        graphpar_step, local_batches, Egnn, EgnnConfig, FrozenEgnn, Gat, GatConfig, Gcn, GcnConfig,
-        GnnModel, GraphParLoss, GraphParOutput, HaloChannel, HaloError, LocalHalo, ModelOutput,
-        ParamSet,
+        graphpar_step, local_batches, Egnn, EgnnConfig, FrozenEgnn, GnnModel, GraphParLoss,
+        GraphParOutput, HaloChannel, HaloError, LocalHalo, ModelOutput, ParamSet,
     };
     pub use matgnn_potential::{PotentialParams, ReferencePotential};
     pub use matgnn_scaling::{

@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use matgnn_data::{collate, Dataset, Normalizer, Prefetcher, Sample, Targets};
 use matgnn_graph::GraphBatch;
-use matgnn_model::GnnModel;
+use matgnn_model::{Egnn, GnnModel};
 use matgnn_tensor::rng::Rng;
 use matgnn_tensor::{runtime, MemoryBreakdown, MemoryCategory, MemoryTracker, Runtime, Tensor};
 use matgnn_train::{
@@ -523,8 +523,8 @@ impl OverlapPipeline {
 
 /// Mutable per-rank training state — everything the recovery path must
 /// rebuild from a checkpoint (or from scratch).
-struct RankState<M> {
-    replica: M,
+struct RankState {
+    replica: Egnn,
     full_adam: Option<Adam>,
     zero_adam: Option<ZeroAdam>,
     epoch: u64,
@@ -615,14 +615,14 @@ fn apply_spike(loss: f64, inject: Option<Inject>) -> f64 {
     }
 }
 
-fn fresh_state<M: GnnModel + Clone>(
-    proto: &M,
+fn fresh_state(
+    proto: &Egnn,
     cfg: &DdpConfig,
     rank: usize,
     world: usize,
     n_params: usize,
     tracker: &MemoryTracker,
-) -> RankState<M> {
+) -> RankState {
     let replica = proto.clone();
     let full_adam =
         (!cfg.zero).then(|| Adam::new(replica.params(), cfg.adam, Some(tracker.clone())));
@@ -644,8 +644,8 @@ fn fresh_state<M: GnnModel + Clone>(
 
 /// Restores rank state from a checkpoint, re-sharding optimizer state for
 /// the (possibly different) current world size.
-fn restore_state<M: GnnModel + Clone>(
-    st: &mut RankState<M>,
+fn restore_state(
+    st: &mut RankState,
     ckpt: &TrainCheckpoint,
     cfg: &DdpConfig,
     rank: usize,
@@ -689,8 +689,8 @@ fn restore_state<M: GnnModel + Clone>(
 /// order, same Adam update — only the wall-clock placement of the
 /// collectives moves.
 #[allow(clippy::too_many_arguments)]
-fn overlapped_step<M: GnnModel + Clone>(
-    st: &mut RankState<M>,
+fn overlapped_step(
+    st: &mut RankState,
     comm: &mut Communicator,
     cfg: &DdpConfig,
     batch: &GraphBatch,
@@ -857,8 +857,8 @@ fn overlapped_step<M: GnnModel + Clone>(
 /// interrupts it. On `Err`, `st` holds the state reached so far and the
 /// caller owns recovery.
 #[allow(clippy::too_many_arguments)]
-fn run_until_done<M: GnnModel + Clone>(
-    st: &mut RankState<M>,
+fn run_until_done(
+    st: &mut RankState,
     comm: &mut Communicator,
     cfg: &DdpConfig,
     train: &Dataset,
@@ -1176,15 +1176,12 @@ fn run_until_done<M: GnnModel + Clone>(
 /// Panics if the training set is smaller than one global batch, or if no
 /// rank survives to finish training (every rank killed or out of
 /// recovery budget).
-pub fn train_ddp<M>(
-    model: &mut M,
+pub fn train_ddp(
+    model: &mut Egnn,
     train: &Dataset,
     normalizer: &Normalizer,
     cfg: &DdpConfig,
-) -> DdpReport
-where
-    M: GnnModel + Clone + Send + Sync,
-{
+) -> DdpReport {
     let world = cfg.world;
     let global_batch = world * cfg.batch_size;
     assert!(
@@ -1201,16 +1198,16 @@ where
         .collect();
     let param_sizes = &param_sizes;
 
-    struct RankOutcome<M> {
+    struct RankOutcome {
         stats: RankStats,
         epoch_loss: Vec<f64>,
         final_world: usize,
         steps: u64,
-        model: Option<M>,
+        model: Option<Egnn>,
     }
 
     let runtime = runtime::scope_raw(); // every rank adopts the caller's scope
-    let outcomes: Vec<RankOutcome<M>> = std::thread::scope(|scope| {
+    let outcomes: Vec<RankOutcome> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for comm in comms {
             let proto = &proto;
@@ -1514,7 +1511,7 @@ where
                 }
             }));
         }
-        let mut outs: Vec<RankOutcome<M>> = handles
+        let mut outs: Vec<RankOutcome> = handles
             .into_iter()
             .map(|h| h.join().expect("rank panicked"))
             .collect();
@@ -1578,7 +1575,7 @@ where
 /// Appends the finished run's scaling coordinates to the ledger named
 /// by `MATGNN_LEDGER`, if set — one env lookup at run end, nothing on
 /// the training path.
-fn ledger_append<M: GnnModel>(model: &M, train: &Dataset, world: usize, report: &DdpReport) {
+fn ledger_append(model: &Egnn, train: &Dataset, world: usize, report: &DdpReport) {
     use matgnn_telemetry::ledger;
     if !std::env::var(ledger::ENV_VAR).is_ok_and(|v| !v.is_empty()) {
         return;

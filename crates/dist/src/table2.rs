@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use matgnn_data::{Dataset, Normalizer};
-use matgnn_model::GnnModel;
+use matgnn_model::Egnn;
 use matgnn_tensor::MemoryBreakdown;
 
 use crate::{train_ddp, DdpConfig};
@@ -117,15 +117,12 @@ impl SettingProfile {
 ///
 /// `base` supplies world size, batch size and training hyperparameters;
 /// the checkpointing/ZeRO flags are overridden per setting.
-pub fn run_memory_settings<M>(
-    model: &M,
+pub fn run_memory_settings(
+    model: &Egnn,
     train: &Dataset,
     normalizer: &Normalizer,
     base: &DdpConfig,
-) -> Vec<SettingProfile>
-where
-    M: GnnModel + Clone + Send + Sync,
-{
+) -> Vec<SettingProfile> {
     MemorySetting::ALL
         .iter()
         .map(|&setting| {

@@ -1,14 +1,13 @@
 //! # matgnn-model
 //!
-//! The model families of the `matgnn` reproduction: the E(n)-equivariant
-//! [`Egnn`] backbone the paper scales (Satorras et al., selected in
-//! Sec. III-B), a non-equivariant [`Gcn`] baseline, and the shared
-//! [`GnnModel`] abstraction that exposes forward passes as checkpointable
-//! segments.
+//! The model of the `matgnn` reproduction: the E(n)-equivariant [`Egnn`]
+//! the paper selects in Sec. III-B and scales (Satorras et al.), its
+//! tape-free inference engine [`FrozenEgnn`], and the [`GnnModel`] trait
+//! that exposes the forward pass as checkpointable segments.
 //!
-//! Both models predict the paper's two task heads: a **graph-level energy**
-//! (extensive sum over per-node contributions) and **node-level forces**
-//! (for EGNN: an equivariant combination of edge vectors).
+//! The model predicts the paper's two task heads: a **graph-level
+//! energy** (extensive sum over per-node contributions) and **node-level
+//! forces** (an equivariant combination of edge vectors).
 //!
 //! ```
 //! use matgnn_model::{Egnn, EgnnConfig};
@@ -22,21 +21,17 @@
 
 #![warn(missing_docs)]
 
-mod attention;
 pub mod checkpoint;
 mod config;
 mod egnn;
-mod gcn;
 pub mod graphpar;
 mod infer;
 pub mod mlp;
 mod model;
 mod params;
 
-pub use attention::{segment_softmax, Gat, GatConfig};
 pub use config::EgnnConfig;
 pub use egnn::Egnn;
-pub use gcn::{Gcn, GcnConfig};
 pub use graphpar::{
     graphpar_step, local_batches, GraphParLoss, GraphParOutput, HaloChannel, HaloError, LocalHalo,
 };

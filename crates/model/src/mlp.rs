@@ -32,69 +32,46 @@ impl Activation {
     }
 }
 
-/// Shape specification of a linear layer (used for parameter counting and
-/// initialization without building tensors).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinearSpec {
-    /// Input feature width.
-    pub in_dim: usize,
-    /// Output feature width.
-    pub out_dim: usize,
-}
-
-impl LinearSpec {
-    /// Scalar parameter count: weights plus bias.
-    pub fn n_params(&self) -> usize {
-        self.in_dim * self.out_dim + self.out_dim
-    }
-}
-
 /// A dense layer `y = x·W + b` whose parameters live in a shared
 /// [`ParamSet`], referenced by index.
 #[derive(Debug, Clone)]
-pub struct Linear {
+struct Linear {
     weight_idx: usize,
     bias_idx: usize,
-    spec: LinearSpec,
 }
 
 impl Linear {
-    /// Creates the layer, registering Xavier-initialized weights (scaled by
-    /// `gain`) and zero biases into `params` under `name`.
-    pub fn new(
+    /// Creates the `in_dim → out_dim` layer, registering Xavier-initialized
+    /// weights (scaled by `gain`) and zero biases into `params` under
+    /// `name`.
+    fn new(
         params: &mut ParamSet,
         name: &str,
-        spec: LinearSpec,
+        (in_dim, out_dim): (usize, usize),
         gain: f32,
         rng: &mut Rng,
     ) -> Self {
-        let scale = gain * (6.0 / (spec.in_dim + spec.out_dim) as f32).sqrt();
-        let weight = Tensor::rand_uniform((spec.in_dim, spec.out_dim), scale, rng);
-        let bias = Tensor::zeros(spec.out_dim);
+        let scale = gain * (6.0 / (in_dim + out_dim) as f32).sqrt();
+        let weight = Tensor::rand_uniform((in_dim, out_dim), scale, rng);
+        let bias = Tensor::zeros(out_dim);
         let weight_idx = params.push(format!("{name}.weight"), weight);
         let bias_idx = params.push(format!("{name}.bias"), bias);
         Linear {
             weight_idx,
             bias_idx,
-            spec,
         }
-    }
-
-    /// The layer's shape spec.
-    pub fn spec(&self) -> LinearSpec {
-        self.spec
     }
 
     /// Applies the layer: `pvars` must be the full binding of the owning
     /// [`ParamSet`], offset by `offset` if only a slice was bound.
-    pub fn forward<C: Exec>(&self, cx: &mut C, pvars: &[C::V], offset: usize, x: &C::V) -> C::V {
+    fn forward<C: Exec>(&self, cx: &mut C, pvars: &[C::V], offset: usize, x: &C::V) -> C::V {
         let y = cx.matmul(x, &pvars[self.weight_idx - offset]);
         cx.add_row(y, &pvars[self.bias_idx - offset])
     }
 }
 
-/// A stack of [`Linear`] layers with a hidden activation between them and
-/// an optional final activation.
+/// A stack of dense layers `y = x·W + b` with a hidden activation between
+/// them and an optional final activation.
 #[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Linear>,
@@ -134,10 +111,7 @@ impl Mlp {
             layers.push(Linear::new(
                 params,
                 &format!("{name}.{l}"),
-                LinearSpec {
-                    in_dim: widths[l],
-                    out_dim: widths[l + 1],
-                },
+                (widths[l], widths[l + 1]),
                 gain,
                 rng,
             ));
@@ -151,16 +125,8 @@ impl Mlp {
 
     /// Scalar parameter count of an MLP with these widths.
     pub fn count_params(widths: &[usize]) -> usize {
-        widths
-            .windows(2)
-            .map(|w| {
-                LinearSpec {
-                    in_dim: w[0],
-                    out_dim: w[1],
-                }
-                .n_params()
-            })
-            .sum()
+        // Weights plus bias per layer.
+        widths.windows(2).map(|w| w[0] * w[1] + w[1]).sum()
     }
 
     /// Applies the MLP.
@@ -264,12 +230,6 @@ pub fn init_rng(seed: u64) -> Rng {
     Rng::seed_from_u64(seed)
 }
 
-/// Draws a fresh sub-seed (lets one model seed derive independent streams
-/// for independent submodules).
-pub fn sub_seed(rng: &mut Rng) -> u64 {
-    rng.gen()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,14 +237,10 @@ mod tests {
 
     #[test]
     fn linear_shapes_and_count() {
-        let spec = LinearSpec {
-            in_dim: 4,
-            out_dim: 3,
-        };
-        assert_eq!(spec.n_params(), 15);
+        assert_eq!(Mlp::count_params(&[4, 3]), 15);
         let mut params = ParamSet::new();
         let mut rng = init_rng(1);
-        let lin = Linear::new(&mut params, "l", spec, 1.0, &mut rng);
+        let lin = Linear::new(&mut params, "l", (4, 3), 1.0, &mut rng);
         assert_eq!(params.n_scalars(), 15);
         let mut tape = Tape::new();
         let pvars = params.bind(&mut tape);

@@ -1,23 +1,25 @@
-//! The [`GnnModel`] abstraction shared by the EGNN family and baselines.
+//! The [`GnnModel`] trait: [`Egnn`](crate::Egnn)'s tape forward as a
+//! sequence of **segments** (embed, one per message-passing layer, heads).
 //!
-//! Models expose their forward pass as a sequence of **segments** (embed,
-//! one per message-passing layer, heads). Vanilla execution chains the
-//! segments on one tape; activation-checkpointed execution (in
-//! `matgnn-train`) runs each segment on its own tape and re-materializes
-//! during backward — which is why segmentation lives in the model trait.
+//! Vanilla execution chains the segments on one tape; activation-
+//! checkpointed execution (in `matgnn-train`) runs each segment on its own
+//! tape and re-materializes during backward — which is why the segment
+//! boundaries are part of the model's interface.
 
 use matgnn_graph::GraphBatch;
 use matgnn_tensor::{Tape, Var};
 
 use crate::ParamSet;
 
-/// The two prediction heads of an atomistic model.
+/// The two prediction heads of an atomistic model, as values of an
+/// executor: recorded [`Var`]s on the tape (the default), or plain
+/// tensors without one.
 #[derive(Debug, Clone, Copy)]
-pub struct ModelOutput {
+pub struct ModelOutput<V = Var> {
     /// Graph-level energies, `[n_graphs × 1]`.
-    pub energy: Var,
+    pub energy: V,
     /// Node-level forces, `[n_nodes × 3]`.
-    pub forces: Var,
+    pub forces: V,
 }
 
 /// A GNN for atomistic property prediction, executable segment by segment.
@@ -57,20 +59,10 @@ pub trait GnnModel {
     /// A short human-readable description.
     fn describe(&self) -> String;
 
-    /// Full forward pass on one tape: binds nothing itself — `pvars` must
-    /// be the binding of the **entire** [`ParamSet`], in order.
-    fn forward(&self, tape: &mut Tape, pvars: &[Var], batch: &GraphBatch) -> ModelOutput {
-        let mut state: Vec<Var> = Vec::new();
-        for seg in 0..self.n_segments() {
-            let (start, end) = self.segment_param_range(seg);
-            state = self.segment_forward(tape, seg, &pvars[start..end], batch, &state);
-        }
-        assert_eq!(state.len(), 2, "final segment must return [energy, forces]");
-        ModelOutput {
-            energy: state[0],
-            forces: state[1],
-        }
-    }
+    /// Full forward pass on one tape, equal to chaining every segment:
+    /// binds nothing itself — `pvars` must be the binding of the
+    /// **entire** [`ParamSet`], in order.
+    fn forward(&self, tape: &mut Tape, pvars: &[Var], batch: &GraphBatch) -> ModelOutput;
 
     /// Convenience: bind all parameters and run the forward pass.
     fn bind_and_forward(&self, tape: &mut Tape, batch: &GraphBatch) -> (Vec<Var>, ModelOutput) {

@@ -1,11 +1,12 @@
 //! Ablations of the design choices DESIGN.md calls out: residual feature
 //! updates (the standard over-smoothing mitigation the paper's Fig. 5
-//! discussion implies), the optional edge gate, the LLM-style LR schedule,
-//! and the equivariant EGNN vs the plain GCN baseline.
+//! discussion implies), the optional edge gate, RBF distance features,
+//! LayerNorm, the LLM-style LR schedule, per-source normalization and the
+//! force-prediction mode.
 
 use matgnn_data::{Dataset, Normalizer};
 use matgnn_graph::GraphBatch;
-use matgnn_model::{Egnn, EgnnConfig, Gat, GatConfig, Gcn, GcnConfig, GnnModel};
+use matgnn_model::{Egnn, EgnnConfig, GnnModel};
 use matgnn_train::{evaluate, LrSchedule, Trainer};
 
 use crate::ExperimentConfig;
@@ -39,176 +40,84 @@ pub fn run_ablations(cfg: &ExperimentConfig) -> Vec<AblationResult> {
     let steps_per_epoch = train.len().div_ceil(cfg.batch_size);
 
     let mut results = Vec::new();
-    let mut run =
-        |group: &str, variant: &str, model: &mut dyn DynTrainable, schedule: Option<LrSchedule>| {
-            let mut tc = cfg.train_config(steps_per_epoch);
-            if let Some(s) = schedule {
-                tc.schedule = s;
-            }
-            let trainer = Trainer::new(tc);
-            let metrics = model.fit_and_eval(&trainer, &train, &test, &normalizer, cfg.batch_size);
-            cfg.progress(&format!(
-                "ablation {group}/{variant}: test loss {:.4}, force MAE {:.4}",
-                metrics.0, metrics.1
-            ));
-            results.push(AblationResult {
-                group: group.to_string(),
-                variant: variant.to_string(),
-                test_loss: metrics.0,
-                force_mae: metrics.1,
-                actual_params: metrics.2,
-            });
-        };
+    let mut run = |group: &str,
+                   variant: &str,
+                   config: EgnnConfig,
+                   schedule: Option<LrSchedule>,
+                   norm: &Normalizer| {
+        let mut tc = cfg.train_config(steps_per_epoch);
+        if let Some(s) = schedule {
+            tc.schedule = s;
+        }
+        let mut model = Egnn::new(config);
+        let _ = Trainer::new(tc).fit(&mut model, &train, None, norm);
+        let m = evaluate(&model, &test, norm, &tc.loss, cfg.batch_size);
+        cfg.progress(&format!(
+            "ablation {group}/{variant}: test loss {:.4}, force MAE {:.4}",
+            m.loss, m.force_mae
+        ));
+        results.push(AblationResult {
+            group: group.to_string(),
+            variant: variant.to_string(),
+            test_loss: m.loss,
+            force_mae: m.force_mae,
+            actual_params: model.params().n_scalars(),
+        });
+        (model, m)
+    };
 
     // Residual feature updates at depth 6 (over-smoothing mitigation).
     let base6 =
         EgnnConfig::new(EgnnConfig::with_target_params(2_000, 3).hidden_dim, 6).with_seed(cfg.seed);
-    run(
-        "residual@depth6",
-        "off",
-        &mut EgnnModel(Egnn::new(base6)),
-        None,
-    );
-    run(
-        "residual@depth6",
-        "on",
-        &mut EgnnModel(Egnn::new(base6.with_residual(true))),
-        None,
-    );
+    let res6 = base6.with_residual(true);
+    run("residual@depth6", "off", base6, None, &normalizer);
+    run("residual@depth6", "on", res6, None, &normalizer);
 
     // LayerNorm at depth 6 — the LLM-lineage stabilizer for deep GNNs.
-    run(
-        "layernorm@depth6",
-        "off",
-        &mut EgnnModel(Egnn::new(base6.with_residual(true))),
-        None,
-    );
-    run(
-        "layernorm@depth6",
-        "on",
-        &mut EgnnModel(Egnn::new(base6.with_residual(true).with_layer_norm(true))),
-        None,
-    );
+    run("layernorm@depth6", "off", res6, None, &normalizer);
+    let norm6 = res6.with_layer_norm(true);
+    run("layernorm@depth6", "on", norm6, None, &normalizer);
 
     // Edge gating at the medium width.
     let med = EgnnConfig::with_target_params(5_000, 3).with_seed(cfg.seed);
-    run("edge-gate", "off", &mut EgnnModel(Egnn::new(med)), None);
-    run(
-        "edge-gate",
-        "on",
-        &mut EgnnModel(Egnn::new(med.with_edge_gate(true))),
-        None,
-    );
+    run("edge-gate", "off", med, None, &normalizer);
+    let gated = med.with_edge_gate(true);
+    run("edge-gate", "on", gated, None, &normalizer);
 
     // RBF distance featurization vs raw ‖r‖².
-    run("rbf", "raw-dist2", &mut EgnnModel(Egnn::new(med)), None);
-    run(
-        "rbf",
-        "gaussian-16",
-        &mut EgnnModel(Egnn::new(med.with_rbf(16))),
-        None,
-    );
+    run("rbf", "raw-dist2", med, None, &normalizer);
+    run("rbf", "gaussian-16", med.with_rbf(16), None, &normalizer);
 
     // LLM-style schedule vs constant LR.
-    run(
-        "lr-schedule",
-        "warmup-cosine",
-        &mut EgnnModel(Egnn::new(med)),
-        None,
-    );
-    run(
-        "lr-schedule",
-        "constant",
-        &mut EgnnModel(Egnn::new(med)),
-        Some(LrSchedule::Constant),
-    );
+    run("lr-schedule", "warmup-cosine", med, None, &normalizer);
+    let constant = Some(LrSchedule::Constant);
+    run("lr-schedule", "constant", med, constant, &normalizer);
 
-    // Architecture comparison at matched parameter count: the equivariant
-    // EGNN, the plain GCN, and the attention-based GAT the paper's
-    // Sec. IV-A locality discussion points toward.
-    let egnn = Egnn::new(med);
-    let target = egnn.n_params();
-    let gcn_width = matched_gcn_width(target);
-    run("architecture", "egnn", &mut EgnnModel(egnn), None);
-    run(
-        "architecture",
-        "gcn",
-        &mut GcnModel(Gcn::new(GcnConfig::new(gcn_width, 3))),
-        None,
-    );
-    run(
-        "architecture",
-        "gat",
-        &mut GatModel(Gat::new(GatConfig::with_target_params(target, 3))),
-        None,
-    );
-
-    // Multi-fidelity label handling: shared vs per-source normalization
-    // (after the `run` closure's last use so `results` is free again).
-    run(
-        "normalization",
-        "shared",
-        &mut EgnnModel(Egnn::new(med)),
-        None,
-    );
+    // Multi-fidelity label handling: shared vs per-source normalization.
+    let (model, direct) = run("normalization", "shared", med, None, &normalizer);
+    let per_source = Normalizer::fit_per_source(&train);
+    run("normalization", "per-source", med, None, &per_source);
     #[allow(clippy::drop_non_drop)] // ends the closure's &mut borrow of `results`
     drop(run);
 
-    // Force-prediction mode: the trained direct head vs zero-extra-cost
-    // energy-conserving forces (−∂E/∂x) from the same model.
-    {
-        let trainer = Trainer::new(cfg.train_config(steps_per_epoch));
-        let mut m = Egnn::new(med);
-        let _ = trainer.fit(&mut m, &train, None, &normalizer);
-        let direct = evaluate(
-            &m,
-            &test,
-            &normalizer,
-            &trainer.config().loss,
-            cfg.batch_size,
-        );
-        let conservative_mae = conservative_force_mae(&m, &test, &normalizer);
-        cfg.progress(&format!(
-            "ablation force-mode: direct {:.4} vs conservative {:.4} eV/Å",
-            direct.force_mae, conservative_mae
-        ));
+    // Force-prediction mode: the shared model's trained direct head vs
+    // zero-extra-cost energy-conserving forces (−∂E/∂x) from the same
+    // weights.
+    let conservative_mae = conservative_force_mae(&model, &test, &normalizer);
+    cfg.progress(&format!(
+        "ablation force-mode: direct {:.4} vs conservative {:.4} eV/Å",
+        direct.force_mae, conservative_mae
+    ));
+    for (variant, force_mae) in [
+        ("direct-head", direct.force_mae),
+        ("conservative", conservative_mae),
+    ] {
         results.push(AblationResult {
             group: "force-mode".to_string(),
-            variant: "direct-head".to_string(),
+            variant: variant.to_string(),
             test_loss: direct.loss,
-            force_mae: direct.force_mae,
-            actual_params: m.params().n_scalars(),
-        });
-        results.push(AblationResult {
-            group: "force-mode".to_string(),
-            variant: "conservative".to_string(),
-            test_loss: direct.loss,
-            force_mae: conservative_mae,
-            actual_params: m.params().n_scalars(),
-        });
-    }
-    {
-        let per_source = Normalizer::fit_per_source(&train);
-        let trainer = Trainer::new(cfg.train_config(steps_per_epoch));
-        let mut m = Egnn::new(EgnnConfig::with_target_params(5_000, 3).with_seed(cfg.seed));
-        let _ = trainer.fit(&mut m, &train, None, &per_source);
-        let metrics = evaluate(
-            &m,
-            &test,
-            &per_source,
-            &trainer.config().loss,
-            cfg.batch_size,
-        );
-        cfg.progress(&format!(
-            "ablation normalization/per-source: test loss {:.4}, force MAE {:.4}",
-            metrics.loss, metrics.force_mae
-        ));
-        results.push(AblationResult {
-            group: "normalization".to_string(),
-            variant: "per-source".to_string(),
-            test_loss: metrics.loss,
-            force_mae: metrics.force_mae,
-            actual_params: m.params().n_scalars(),
+            force_mae,
+            actual_params: model.params().n_scalars(),
         });
     }
 
@@ -234,98 +143,6 @@ fn conservative_force_mae(model: &Egnn, test: &Dataset, norm: &Normalizer) -> f6
     abs / n.max(1) as f64
 }
 
-fn matched_gcn_width(target_params: usize) -> usize {
-    let mut best = 2;
-    let mut best_diff = usize::MAX;
-    for w in 2..512 {
-        let diff = GcnConfig::new(w, 3).param_count().abs_diff(target_params);
-        if diff < best_diff {
-            best_diff = diff;
-            best = w;
-        }
-    }
-    best
-}
-
-/// Object-safe training shim so EGNN and GCN share the ablation loop.
-trait DynTrainable {
-    fn fit_and_eval(
-        &mut self,
-        trainer: &Trainer,
-        train: &Dataset,
-        test: &Dataset,
-        normalizer: &Normalizer,
-        batch_size: usize,
-    ) -> (f64, f64, usize);
-}
-
-struct EgnnModel(Egnn);
-struct GcnModel(Gcn);
-struct GatModel(Gat);
-
-impl DynTrainable for EgnnModel {
-    fn fit_and_eval(
-        &mut self,
-        trainer: &Trainer,
-        train: &Dataset,
-        test: &Dataset,
-        normalizer: &Normalizer,
-        batch_size: usize,
-    ) -> (f64, f64, usize) {
-        let _ = trainer.fit(&mut self.0, train, None, normalizer);
-        let m = evaluate(
-            &self.0,
-            test,
-            normalizer,
-            &trainer.config().loss,
-            batch_size,
-        );
-        (m.loss, m.force_mae, self.0.params().n_scalars())
-    }
-}
-
-impl DynTrainable for GcnModel {
-    fn fit_and_eval(
-        &mut self,
-        trainer: &Trainer,
-        train: &Dataset,
-        test: &Dataset,
-        normalizer: &Normalizer,
-        batch_size: usize,
-    ) -> (f64, f64, usize) {
-        let _ = trainer.fit(&mut self.0, train, None, normalizer);
-        let m = evaluate(
-            &self.0,
-            test,
-            normalizer,
-            &trainer.config().loss,
-            batch_size,
-        );
-        (m.loss, m.force_mae, self.0.params().n_scalars())
-    }
-}
-
-impl DynTrainable for GatModel {
-    fn fit_and_eval(
-        &mut self,
-        trainer: &Trainer,
-        train: &Dataset,
-        test: &Dataset,
-        normalizer: &Normalizer,
-        batch_size: usize,
-    ) -> (f64, f64, usize) {
-        let _ = trainer.fit(&mut self.0, train, None, normalizer);
-        let m = evaluate(
-            &self.0,
-            test,
-            normalizer,
-            &trainer.config().loss,
-            batch_size,
-        );
-        (m.loss, m.force_mae, self.0.params().n_scalars())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,7 +159,7 @@ mod tests {
             ..ExperimentConfig::quick()
         };
         let results = run_ablations(&cfg);
-        assert_eq!(results.len(), 17);
+        assert_eq!(results.len(), 14);
         for (group, n) in [
             ("residual@depth6", 2),
             ("layernorm@depth6", 2),
@@ -351,7 +168,6 @@ mod tests {
             ("force-mode", 2),
             ("rbf", 2),
             ("lr-schedule", 2),
-            ("architecture", 3),
         ] {
             assert_eq!(
                 results.iter().filter(|r| r.group == group).count(),
@@ -360,12 +176,5 @@ mod tests {
             );
         }
         assert!(results.iter().all(|r| r.test_loss.is_finite()));
-    }
-
-    #[test]
-    fn gcn_width_matching_close() {
-        let w = matched_gcn_width(5_000);
-        let got = GcnConfig::new(w, 3).param_count();
-        assert!((got as f64 / 5_000.0 - 1.0).abs() < 0.3, "matched {got}");
     }
 }

@@ -63,6 +63,8 @@ pub trait Exec {
     fn matmul(&mut self, a: &Self::V, b: &Self::V) -> Self::V;
     /// Row sums `[n,m] → [n,1]`.
     fn sum_axis1(&mut self, a: &Self::V) -> Self::V;
+    /// Mean of all elements, as a scalar.
+    fn mean_all(&mut self, a: &Self::V) -> Self::V;
     /// Gathers rows `out[i] = a[idx[i]]`.
     fn gather_rows(&mut self, a: &Self::V, idx: &Arc<Vec<usize>>) -> Self::V;
     /// Scatter-adds the rows of `a` into `n_out` rows.
@@ -111,6 +113,9 @@ impl Exec for Tape {
     }
     fn sum_axis1(&mut self, a: &Var) -> Var {
         Tape::sum_axis1(self, *a)
+    }
+    fn mean_all(&mut self, a: &Var) -> Var {
+        Tape::mean_all(self, *a)
     }
     fn gather_rows(&mut self, a: &Var, idx: &Arc<Vec<usize>>) -> Var {
         Tape::gather_rows(self, *a, Arc::clone(idx))
@@ -207,6 +212,9 @@ impl Exec for NoTape {
     fn sum_axis1(&mut self, a: &Tensor) -> Tensor {
         a.sum_axis1()
     }
+    fn mean_all(&mut self, a: &Tensor) -> Tensor {
+        Tensor::scalar(a.mean_all())
+    }
     fn gather_rows(&mut self, a: &Tensor, idx: &Arc<Vec<usize>>) -> Tensor {
         a.gather_rows(idx)
     }
@@ -236,7 +244,13 @@ mod tests {
 
     /// Every op once, as a model body uses them: some values consumed,
     /// some cloned and kept.
-    fn chain<C: Exec>(cx: &mut C, x: &C::V, w: &C::V, row: &C::V, idx: &Arc<Vec<usize>>) -> C::V {
+    fn chain<C: Exec>(
+        cx: &mut C,
+        x: &C::V,
+        w: &C::V,
+        row: &C::V,
+        idx: &Arc<Vec<usize>>,
+    ) -> [C::V; 2] {
         let y = cx.matmul(x, w);
         let y = cx.add_row(y, row);
         let kept = cx.silu(y);
@@ -260,7 +274,9 @@ mod tests {
         let k = BlockPart::gathered(kept, Arc::clone(idx));
         let wb = cx.constant(Tensor::full((12, 4), 0.25));
         let z = cx.block_linear(&[k.clone(), BlockPart::dense(g), k], &wb, row);
-        cx.scatter_add_rows(&z, idx, 3)
+        let out = cx.scatter_add_rows(&z, idx, 3);
+        let mean = cx.mean_all(&out);
+        [out, mean]
     }
 
     #[test]
@@ -276,7 +292,9 @@ mod tests {
         let recorded = chain(&mut tape, &v[0], &v[1], &v[2], &idx);
         let plain = chain(&mut NoTape, &x, &w, &row, &idx);
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(tape.value(recorded)), bits(&plain));
+        for (r, p) in recorded.iter().zip(&plain) {
+            assert_eq!(bits(tape.value(*r)), bits(p));
+        }
         assert_eq!(
             (x.to_vec(), w.to_vec()),
             (x0, w0),

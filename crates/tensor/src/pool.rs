@@ -68,6 +68,12 @@ pub use crate::runtime::set_thread_override;
 static JOBS_SUBMITTED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 static CHUNKS_SUBMITTED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
+/// Jobs handed to the pool so far, process-wide: a kernel that stayed
+/// serial under its size threshold adds none.
+pub fn jobs_submitted() -> u64 {
+    JOBS_SUBMITTED.load(Ordering::Relaxed)
+}
+
 /// Publishes the pool's task counts and resolved size into the
 /// process-wide telemetry metrics registry (`pool.*`).
 pub fn publish_telemetry() {

@@ -52,7 +52,6 @@ enum Op {
     },
     Add(Var, Var),
     Sub(Var, Var),
-    Mul(Var, Var),
     Scale(Var, f32),
     AddScalar(Var),
     Neg(Var),
@@ -75,7 +74,6 @@ enum Op {
     GatherRows(Var, Arc<Vec<usize>>),
     ScatterAddRows(Var, Arc<Vec<usize>>, usize),
     ConcatCols(Vec<Var>),
-    SliceCols(Var, usize, usize),
     BlockLinear {
         parts: Vec<BlockPart>,
         w: Var,
@@ -90,7 +88,6 @@ impl Op {
             Op::Leaf { .. } => {}
             Op::Add(a, b)
             | Op::Sub(a, b)
-            | Op::Mul(a, b)
             | Op::Matmul(a, b)
             | Op::AddRow(a, b)
             | Op::AddCol(a, b)
@@ -114,8 +111,7 @@ impl Op {
             | Op::MeanAll(a)
             | Op::SumAxis1(a)
             | Op::GatherRows(a, _)
-            | Op::ScatterAddRows(a, _, _)
-            | Op::SliceCols(a, _, _) => f(*a),
+            | Op::ScatterAddRows(a, _, _) => f(*a),
             Op::ConcatCols(parts) => parts.iter().copied().for_each(f),
             Op::BlockLinear { parts, w, b } => {
                 parts.iter().for_each(|p| f(p.x));
@@ -334,13 +330,6 @@ impl Tape {
         self.push(Op::Sub(a, b), v, ng)
     }
 
-    /// Elementwise `a * b` (same shape).
-    pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).mul(self.value(b));
-        let ng = self.needs(a) || self.needs(b);
-        self.push(Op::Mul(a, b), v, ng)
-    }
-
     /// `alpha * a`.
     pub fn scale(&mut self, a: Var, alpha: f32) -> Var {
         let v = self.value(a).scale(alpha);
@@ -508,13 +497,6 @@ impl Tape {
         let v = Tensor::concat_cols(&tensors);
         let ng = parts.iter().any(|&p| self.needs(p));
         self.push(Op::ConcatCols(parts.to_vec()), v, ng)
-    }
-
-    /// Extracts columns `[start, end)`.
-    pub fn slice_cols(&mut self, a: Var, start: usize, end: usize) -> Var {
-        let v = self.value(a).slice_cols(start, end);
-        let ng = self.needs(a);
-        self.push(Op::SliceCols(a, start, end), v, ng)
     }
 
     /// The linear layer `[p₀ ‖ p₁ ‖ …]·W + b` over the column
@@ -854,12 +836,6 @@ impl Tape {
                 self.accumulate(grads, grad_bytes, *a, g.clone());
                 self.accumulate(grads, grad_bytes, *b, g.neg());
             }
-            Op::Mul(a, b) => {
-                let ga = g.mul(self.value(*b));
-                let gb = g.mul(self.value(*a));
-                self.accumulate(grads, grad_bytes, *a, ga);
-                self.accumulate(grads, grad_bytes, *b, gb);
-            }
             Op::Scale(a, alpha) => {
                 self.accumulate(grads, grad_bytes, *a, g.scale(*alpha));
             }
@@ -999,32 +975,6 @@ impl Tape {
                     }
                     offset += w;
                 }
-            }
-            Op::SliceCols(a, start, end) => {
-                let (n, m) = (self.shape(*a).rows(), self.shape(*a).cols());
-                let mut d = Tensor::zeros((n, m));
-                if n * m > 0 {
-                    let dd = d.data_mut();
-                    let gd = g.data();
-                    let w = end - start;
-                    // Pure per-row copy into disjoint chunks, so the
-                    // parallel split cannot change results; small grads
-                    // stay serial to skip pool dispatch.
-                    let (start, end) = (*start, *end);
-                    let copy = |off: usize, chunk: &mut [f32]| {
-                        let r0 = off / m;
-                        for (local, drow) in chunk.chunks_mut(m).enumerate() {
-                            let r = r0 + local;
-                            drow[start..end].copy_from_slice(&gd[r * w..(r + 1) * w]);
-                        }
-                    };
-                    if n * m >= (1 << 16) && crate::pool::num_threads() > 1 {
-                        crate::pool::for_each_chunk_mut(dd, m, copy);
-                    } else {
-                        copy(0, dd);
-                    }
-                }
-                self.accumulate(grads, grad_bytes, *a, d);
             }
             Op::BlockLinear { parts, w, b } => {
                 let wv = self.value(*w);
@@ -1172,6 +1122,9 @@ mod tests {
     fn gradcheck_gather_scatter_concat() {
         let mut rng = Rng::seed_from_u64(5);
         let h = Tensor::randn((4, 3), 0.8, &mut rng);
+        // Distinct weights per column, so each half of the concatenation
+        // receives its own gradient.
+        let w = Tensor::randn((6, 2), 0.8, &mut rng);
         let idx_src = Arc::new(vec![0usize, 1, 3, 3, 2]);
         let idx_dst = Arc::new(vec![1usize, 0, 2, 0, 3]);
         check_grad(
@@ -1180,8 +1133,9 @@ mod tests {
                 let hi = tape.gather_rows(vars[0], Arc::clone(&idx_src));
                 let hj = tape.gather_rows(vars[0], Arc::clone(&idx_dst));
                 let cat = tape.concat_cols(&[hi, hj]);
-                let left = tape.slice_cols(cat, 0, 3);
-                let agg = tape.scatter_add_rows(left, Arc::clone(&idx_dst), 4);
+                let w = tape.constant(w.clone());
+                let mixed = tape.matmul(cat, w);
+                let agg = tape.scatter_add_rows(mixed, Arc::clone(&idx_dst), 4);
                 let s = tape.square(agg);
                 tape.mean_all(s)
             },
@@ -1276,9 +1230,10 @@ mod tests {
         );
     }
 
-    /// Runs `layer` on `inputs` bound as parameters, with the loss
-    /// `Σ y ⊙ r` for a fixed random `r`, and returns the output value and
-    /// the gradient of every input (zeros where none flowed).
+    /// Runs `layer` on `inputs` bound as parameters, seeds backward with
+    /// a fixed random cotangent `r` (the loss `Σ y ⊙ r`), and returns the
+    /// output value and the gradient of every input (zeros where none
+    /// flowed).
     fn value_and_grads(
         inputs: &[Tensor],
         layer: impl Fn(&mut Tape, &[Var]) -> Var,
@@ -1288,10 +1243,8 @@ mod tests {
         let y = layer(&mut tape, &vars);
         let value = tape.value(y).clone();
         let mut rng = Rng::seed_from_u64(47);
-        let r = tape.constant(Tensor::randn(value.shape().clone(), 1.0, &mut rng));
-        let weighted = tape.mul(y, r);
-        let loss = tape.sum_all(weighted);
-        let mut grads = tape.backward(loss);
+        let r = Tensor::randn(value.shape().clone(), 1.0, &mut rng);
+        let mut grads = tape.backward_seeded(&[(y, r)]);
         let g = vars
             .iter()
             .zip(inputs)
@@ -1422,9 +1375,9 @@ mod tests {
     #[test]
     fn constants_get_no_grad() {
         let mut tape = Tape::new();
-        let x = tape.constant(Tensor::scalar(3.0));
-        let w = tape.param(Tensor::scalar(2.0));
-        let y = tape.mul(x, w);
+        let x = tape.constant(Tensor::full((1, 1), 3.0));
+        let w = tape.param(Tensor::full((1, 1), 2.0));
+        let y = tape.matmul(x, w);
         let loss = tape.sum_all(y);
         let grads = tape.backward(loss);
         assert!(grads.get(x).is_none());

@@ -166,7 +166,8 @@ fn gradcheck_binary_ops() {
             |tape, vars| {
                 let s = tape.add(vars[0], vars[1]);
                 let d = tape.sub(vars[0], vars[1]);
-                let m = tape.mul(s, d);
+                let (s2, d2) = (tape.square(s), tape.square(d));
+                let m = tape.sub(s2, d2);
                 tape.mean_all(m)
             },
             3e-2,
@@ -216,8 +217,8 @@ fn gradcheck_broadcast_ops() {
 }
 
 #[test]
-fn gradcheck_gather_concat_slice() {
-    run_cases("gradcheck_gather_concat_slice", |rng| {
+fn gradcheck_gather_concat() {
+    run_cases("gradcheck_gather_concat", |rng| {
         let (n, c) = arb_dims(rng);
         let seed = rng.gen_range(0u64..20);
         let e = rng.gen_range(1usize..10);
@@ -227,13 +228,22 @@ fn gradcheck_gather_concat_slice() {
                 .map(|i| (i * 3 + seed as usize) % n)
                 .collect::<Vec<_>>(),
         );
+        let halves = Tensor::from_vec(
+            2 * c,
+            (0..2 * c).map(|j| if j < c { 1.0 } else { -0.5 }).collect(),
+        )
+        .unwrap();
         gradcheck::check_grad(
             &[x],
             move |tape, vars| {
                 let g = tape.gather_rows(vars[0], Arc::clone(&idx));
-                let cat = tape.concat_cols(&[g, g]);
-                let half = tape.slice_cols(cat, 0, c);
-                let s = tape.scatter_add_rows(half, Arc::clone(&idx), n);
+                let sq = tape.square(g);
+                let cat = tape.concat_cols(&[g, sq]);
+                // Weigh the two halves differently, so each receives its
+                // own gradient through the concatenation.
+                let w = tape.constant(halves.clone());
+                let mixed = tape.mul_row(cat, w);
+                let s = tape.scatter_add_rows(mixed, Arc::clone(&idx), n);
                 let q = tape.square(s);
                 tape.mean_all(q)
             },

@@ -8,7 +8,7 @@
 use matgnn_data::Targets;
 use matgnn_graph::GraphBatch;
 use matgnn_model::ModelOutput;
-use matgnn_tensor::{Tape, Var};
+use matgnn_tensor::Exec;
 
 /// The pointwise regression penalty.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,57 +48,55 @@ impl Default for LossConfig {
 }
 
 impl LossConfig {
-    /// Builds the scalar loss on the tape.
+    /// Builds the scalar loss on an executor: recorded on the tape when
+    /// training, computed directly (`NoTape`) when evaluating, with the
+    /// same bits either way.
     ///
     /// The model's extensive energy output is divided by each graph's atom
     /// count so it is compared in the normalized per-atom space of the
     /// targets.
-    pub fn compute(
+    pub fn compute<E: Exec>(
         &self,
-        tape: &mut Tape,
-        output: ModelOutput,
+        ex: &mut E,
+        output: ModelOutput<E::V>,
         batch: &GraphBatch,
         targets: &Targets,
-    ) -> Var {
-        let inv_counts = tape.constant(batch.inv_node_counts());
-        let pred_per_atom = tape.mul_col(output.energy, inv_counts);
-        let e_target = tape.constant(targets.energy.clone());
-        let e_err = tape.sub(pred_per_atom, e_target);
-        let e_loss = self.pointwise(tape, e_err);
+    ) -> E::V {
+        let inv_counts = ex.constant(batch.inv_node_counts());
+        let pred_per_atom = ex.mul_col(output.energy, &inv_counts);
+        let e_target = ex.constant(targets.energy.clone());
+        let e_err = ex.sub(pred_per_atom, &e_target);
+        let e_loss = self.pointwise(ex, e_err);
 
-        let f_target = tape.constant(targets.forces.clone());
-        let f_err = tape.sub(output.forces, f_target);
-        let f_loss = self.pointwise(tape, f_err);
+        let f_target = ex.constant(targets.forces.clone());
+        let f_err = ex.sub(output.forces, &f_target);
+        let f_loss = self.pointwise(ex, f_err);
 
-        let e_term = tape.scale(e_loss, self.energy_weight);
-        let f_term = tape.scale(f_loss, self.force_weight);
-        tape.add(e_term, f_term)
+        let e_term = ex.scale(e_loss, self.energy_weight);
+        let f_term = ex.scale(f_loss, self.force_weight);
+        ex.add(e_term, &f_term)
     }
 
-    fn pointwise(&self, tape: &mut Tape, err: Var) -> Var {
-        match self.kind {
-            LossKind::Mse => {
-                let sq = tape.square(err);
-                tape.mean_all(sq)
-            }
+    fn pointwise<E: Exec>(&self, ex: &mut E, err: E::V) -> E::V {
+        let per_element = match self.kind {
+            LossKind::Mse => ex.square(err),
             LossKind::Mae => {
                 const EPS2: f32 = 1e-12;
-                let sq = tape.square(err);
-                let shifted = tape.add_scalar(sq, EPS2);
-                let abs = tape.sqrt(shifted);
-                tape.mean_all(abs)
+                let sq = ex.square(err);
+                let shifted = ex.add_scalar(sq, EPS2);
+                ex.sqrt(shifted)
             }
             LossKind::Huber { delta } => {
                 // δ²(√(1 + (x/δ)²) − 1)
-                let scaled = tape.scale(err, 1.0 / delta);
-                let sq = tape.square(scaled);
-                let shifted = tape.add_scalar(sq, 1.0);
-                let root = tape.sqrt(shifted);
-                let minus1 = tape.add_scalar(root, -1.0);
-                let huber = tape.scale(minus1, delta * delta);
-                tape.mean_all(huber)
+                let scaled = ex.scale(err, 1.0 / delta);
+                let sq = ex.square(scaled);
+                let shifted = ex.add_scalar(sq, 1.0);
+                let root = ex.sqrt(shifted);
+                let minus1 = ex.add_scalar(root, -1.0);
+                ex.scale(minus1, delta * delta)
             }
-        }
+        };
+        ex.mean_all(&per_element)
     }
 }
 
@@ -106,8 +104,8 @@ impl LossConfig {
 mod tests {
     use super::*;
     use matgnn_data::{Dataset, GeneratorConfig, Normalizer};
-    use matgnn_model::{Egnn, EgnnConfig, GnnModel};
-    use matgnn_tensor::Tensor;
+    use matgnn_model::{Egnn, EgnnConfig, FrozenEgnn, GnnModel};
+    use matgnn_tensor::{NoTape, Tape, Tensor};
 
     fn setup() -> (GraphBatch, Targets, Egnn) {
         let ds = Dataset::generate_aggregate(6, 3, &GeneratorConfig::default());
@@ -125,6 +123,42 @@ mod tests {
         let loss = LossConfig::default().compute(&mut tape, out, &batch, &targets);
         let v = tape.value(loss).item();
         assert!(v.is_finite() && v >= 0.0, "loss {v}");
+    }
+
+    /// One loss, two executors: `NoTape` gives the tape's bits for every
+    /// penalty, whether it may overwrite its inputs or must copy them.
+    #[test]
+    fn no_tape_loss_equals_tape_loss_bitwise() {
+        let (batch, targets, model) = setup();
+        let (energy, forces) = FrozenEgnn::freeze(&model).predict(&batch);
+        let owned = |t: &Tensor| Tensor::from_vec(t.shape().clone(), t.to_vec()).unwrap();
+        for kind in [LossKind::Mse, LossKind::Mae, LossKind::Huber { delta: 0.5 }] {
+            let cfg = LossConfig {
+                energy_weight: 1.0,
+                force_weight: 0.7,
+                kind,
+            };
+            let mut tape = Tape::new();
+            let out = ModelOutput {
+                energy: tape.param(energy.clone()),
+                forces: tape.param(forces.clone()),
+            };
+            let recorded = cfg.compute(&mut tape, out, &batch, &targets);
+            let want = tape.value(recorded).item().to_bits();
+            for out in [
+                ModelOutput {
+                    energy: owned(&energy),
+                    forces: owned(&forces),
+                },
+                ModelOutput {
+                    energy: energy.clone(),
+                    forces: forces.clone(),
+                },
+            ] {
+                let plain = cfg.compute(&mut NoTape, out, &batch, &targets);
+                assert_eq!(plain.item().to_bits(), want, "{kind:?}");
+            }
+        }
     }
 
     #[test]

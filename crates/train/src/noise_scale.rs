@@ -20,7 +20,7 @@
 //! ```
 
 use matgnn_data::{BatchIterator, Dataset, Normalizer};
-use matgnn_model::GnnModel;
+use matgnn_model::Egnn;
 
 use crate::{vanilla_step, LossConfig};
 
@@ -73,8 +73,8 @@ impl NoiseScaleEstimate {
 
 /// Mean squared gradient norm over `n` freshly-shuffled batches of size
 /// `batch_size`.
-fn mean_grad_norm_sq<M: GnnModel + ?Sized>(
-    model: &M,
+fn mean_grad_norm_sq(
+    model: &Egnn,
     dataset: &Dataset,
     normalizer: &Normalizer,
     loss_cfg: &LossConfig,
@@ -114,8 +114,8 @@ fn mean_grad_norm_sq<M: GnnModel + ?Sized>(
 /// Panics unless `b_small < b_big`, `n_estimates ≥ 1`, and the dataset
 /// holds at least `b_big` graphs.
 #[allow(clippy::too_many_arguments)] // mirrors the estimator's knobs
-pub fn estimate_noise_scale<M: GnnModel + ?Sized>(
-    model: &M,
+pub fn estimate_noise_scale(
+    model: &Egnn,
     dataset: &Dataset,
     normalizer: &Normalizer,
     loss_cfg: &LossConfig,

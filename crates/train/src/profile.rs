@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use matgnn_data::Targets;
 use matgnn_graph::GraphBatch;
-use matgnn_model::GnnModel;
+use matgnn_model::{Egnn, GnnModel};
 use matgnn_tensor::recycler::{self, RecyclerStats};
 use matgnn_tensor::{MemoryBreakdown, MemoryCategory, MemorySnapshot, MemoryTracker};
 
@@ -74,8 +74,8 @@ impl StepProfile {
 /// and returns the memory/time report.
 ///
 /// `checkpointed` selects the activation-checkpointed execution path.
-pub fn profile_step<M: GnnModel>(
-    model: &mut M,
+pub fn profile_step(
+    model: &mut Egnn,
     batch: &GraphBatch,
     targets: &Targets,
     loss_cfg: &LossConfig,
@@ -133,8 +133,8 @@ pub fn profile_step<M: GnnModel>(
 
 /// Averages the wall time of `reps` profiled steps (first call also
 /// returns the memory profile of the final rep).
-pub fn profile_step_timed<M: GnnModel>(
-    model: &mut M,
+pub fn profile_step_timed(
+    model: &mut Egnn,
     batch: &GraphBatch,
     targets: &Targets,
     loss_cfg: &LossConfig,

@@ -11,7 +11,7 @@
 
 use matgnn_data::Targets;
 use matgnn_graph::GraphBatch;
-use matgnn_model::{GnnModel, ModelOutput, ParamSet};
+use matgnn_model::{Egnn, GnnModel, ModelOutput, ParamSet};
 use matgnn_tensor::{Gradients, MemoryCategory, MemoryTracker, Tape, Tensor, Var};
 
 use crate::LossConfig;
@@ -45,8 +45,8 @@ fn collect_param_grads(params: &ParamSet, pvars: &[Var], grads: &mut Gradients) 
 }
 
 /// Runs forward + backward on a single tape (the baseline path).
-pub fn vanilla_step<M: GnnModel + ?Sized>(
-    model: &M,
+pub fn vanilla_step(
+    model: &Egnn,
     batch: &GraphBatch,
     targets: &Targets,
     loss_cfg: &LossConfig,
@@ -60,8 +60,8 @@ pub fn vanilla_step<M: GnnModel + ?Sized>(
 /// (see [`Tape::backward_with_leaf_sink`]) instead of being collected into
 /// a [`StepOutcome`]. Gradient values are bitwise-identical to
 /// [`vanilla_step`]; only the hand-off point moves. Returns the loss.
-pub fn vanilla_step_with_sink<M: GnnModel + ?Sized>(
-    model: &M,
+pub fn vanilla_step_with_sink(
+    model: &Egnn,
     batch: &GraphBatch,
     targets: &Targets,
     loss_cfg: &LossConfig,
@@ -71,8 +71,8 @@ pub fn vanilla_step_with_sink<M: GnnModel + ?Sized>(
     vanilla_impl(model, batch, targets, loss_cfg, tracker, Some(sink)).loss
 }
 
-fn vanilla_impl<M: GnnModel + ?Sized>(
-    model: &M,
+fn vanilla_impl(
+    model: &Egnn,
     batch: &GraphBatch,
     targets: &Targets,
     loss_cfg: &LossConfig,
@@ -126,8 +126,8 @@ fn vanilla_impl<M: GnnModel + ?Sized>(
 /// Forward keeps only segment-boundary tensors; backward recomputes each
 /// segment (including the loss in the last one) and chains gradients with
 /// [`Tape::backward_seeded`].
-pub fn checkpointed_step<M: GnnModel + ?Sized>(
-    model: &M,
+pub fn checkpointed_step(
+    model: &Egnn,
     batch: &GraphBatch,
     targets: &Targets,
     loss_cfg: &LossConfig,
@@ -141,8 +141,8 @@ pub fn checkpointed_step<M: GnnModel + ?Sized>(
 /// segment — last segment's parameters first — so gradient communication
 /// can start while earlier segments are still being recomputed. Returns
 /// the loss.
-pub fn checkpointed_step_with_sink<M: GnnModel + ?Sized>(
-    model: &M,
+pub fn checkpointed_step_with_sink(
+    model: &Egnn,
     batch: &GraphBatch,
     targets: &Targets,
     loss_cfg: &LossConfig,
@@ -152,8 +152,8 @@ pub fn checkpointed_step_with_sink<M: GnnModel + ?Sized>(
     checkpointed_impl(model, batch, targets, loss_cfg, tracker, Some(sink)).loss
 }
 
-fn checkpointed_impl<M: GnnModel + ?Sized>(
-    model: &M,
+fn checkpointed_impl(
+    model: &Egnn,
     batch: &GraphBatch,
     targets: &Targets,
     loss_cfg: &LossConfig,
@@ -305,8 +305,8 @@ fn checkpointed_impl<M: GnnModel + ?Sized>(
 }
 
 /// Dispatches to the vanilla or checkpointed step.
-pub fn train_step<M: GnnModel + ?Sized>(
-    model: &M,
+pub fn train_step(
+    model: &Egnn,
     batch: &GraphBatch,
     targets: &Targets,
     loss_cfg: &LossConfig,
@@ -322,8 +322,8 @@ pub fn train_step<M: GnnModel + ?Sized>(
 
 /// Dispatches to the vanilla or checkpointed sink-based step; returns the
 /// loss, delivering every parameter gradient through `sink` exactly once.
-pub fn train_step_with_sink<M: GnnModel + ?Sized>(
-    model: &M,
+pub fn train_step_with_sink(
+    model: &Egnn,
     batch: &GraphBatch,
     targets: &Targets,
     loss_cfg: &LossConfig,
@@ -342,7 +342,7 @@ pub fn train_step_with_sink<M: GnnModel + ?Sized>(
 mod tests {
     use super::*;
     use matgnn_data::{collate, Dataset, GeneratorConfig, Normalizer, Sample};
-    use matgnn_model::{Egnn, EgnnConfig, Gcn, GcnConfig};
+    use matgnn_model::EgnnConfig;
 
     fn setup(n: usize) -> (GraphBatch, Targets) {
         let ds = Dataset::generate_aggregate(n, 17, &GeneratorConfig::default());
@@ -365,19 +365,6 @@ mod tests {
             b.loss
         );
         assert_eq!(a.grads.len(), b.grads.len());
-        for (i, (ga, gb)) in a.grads.iter().zip(b.grads.iter()).enumerate() {
-            let tol = 1e-4 * (1.0 + ga.max_abs());
-            assert!(ga.allclose(gb, tol), "param {i} grads differ");
-        }
-    }
-
-    #[test]
-    fn checkpointed_matches_vanilla_gradients_gcn() {
-        let model = Gcn::new(GcnConfig::new(8, 3));
-        let (batch, targets) = setup(4);
-        let cfg = LossConfig::default();
-        let a = vanilla_step(&model, &batch, &targets, &cfg, None);
-        let b = checkpointed_step(&model, &batch, &targets, &cfg, None);
         for (i, (ga, gb)) in a.grads.iter().zip(b.grads.iter()).enumerate() {
             let tol = 1e-4 * (1.0 + ga.max_abs());
             assert!(ga.allclose(gb, tol), "param {i} grads differ");

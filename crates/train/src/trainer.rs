@@ -8,8 +8,8 @@ use std::time::{Duration, Instant};
 
 use matgnn_data::{BatchIterator, Dataset, Normalizer, PrefetchIterator, SourceKind, Targets};
 use matgnn_graph::GraphBatch;
-use matgnn_model::GnnModel;
-use matgnn_tensor::Tape;
+use matgnn_model::{Egnn, FrozenEgnn, GnnModel, ModelOutput};
+use matgnn_tensor::NoTape;
 
 use crate::{
     clip_grad_norm, latest_in, params_finite, prune_checkpoints, train_step, Adam, AdamHyper,
@@ -130,9 +130,9 @@ impl TrainReport {
 /// `MATGNN_LEDGER`, if set. One env lookup at run end — nothing on any
 /// training hot path, and (like all telemetry) no effect on the
 /// trajectory. `world` is the data-parallel width the report covers.
-pub(crate) fn ledger_append<M: GnnModel + ?Sized>(
+pub(crate) fn ledger_append(
     kind: &str,
-    model: &M,
+    model: &Egnn,
     train: &Dataset,
     world: usize,
     report: &TrainReport,
@@ -160,7 +160,7 @@ pub(crate) fn ledger_append<M: GnnModel + ?Sized>(
     ledger::append_from_env(&rec);
 }
 
-/// Drives training of a [`GnnModel`].
+/// Drives training of an [`Egnn`].
 ///
 /// # Examples
 ///
@@ -281,9 +281,9 @@ impl Trainer {
     /// # Panics
     ///
     /// Panics if `train` is empty.
-    pub fn fit<M: GnnModel>(
+    pub fn fit(
         &self,
-        model: &mut M,
+        model: &mut Egnn,
         train: &Dataset,
         test: Option<&Dataset>,
         normalizer: &Normalizer,
@@ -295,9 +295,9 @@ impl Trainer {
 
     /// [`fit`](Self::fit) without the run-ledger hook: the supervision
     /// loop around [`fit_once`](Self::fit_once).
-    fn fit_supervised<M: GnnModel>(
+    fn fit_supervised(
         &self,
-        model: &mut M,
+        model: &mut Egnn,
         train: &Dataset,
         test: Option<&Dataset>,
         normalizer: &Normalizer,
@@ -374,9 +374,9 @@ impl Trainer {
     }
 
     /// One training attempt (the whole run, when unsupervised).
-    fn fit_once<M: GnnModel>(
+    fn fit_once(
         &self,
-        model: &mut M,
+        model: &mut Egnn,
         train: &Dataset,
         test: Option<&Dataset>,
         normalizer: &Normalizer,
@@ -437,7 +437,7 @@ impl Trainer {
             let mut micro = 0usize;
             let flush = |buf: &mut Option<Vec<matgnn_tensor::Tensor>>,
                          micro: &mut usize,
-                         model: &mut M,
+                         model: &mut Egnn,
                          optimizer: &mut Adam,
                          step: &mut usize| {
                 let Some(mut grads) = buf.take() else { return };
@@ -652,7 +652,7 @@ impl Trainer {
 /// Writes one durable checkpoint (best-effort: training never stops
 /// because a checkpoint write failed).
 #[allow(clippy::too_many_arguments)]
-fn save_checkpoint<M: GnnModel>(
+fn save_checkpoint(
     dir: &std::path::Path,
     epoch: usize,
     step_in_epoch: usize,
@@ -660,7 +660,7 @@ fn save_checkpoint<M: GnnModel>(
     seed: u64,
     loss_acc: f64,
     loss_count: usize,
-    model: &M,
+    model: &Egnn,
     optimizer: &Adam,
     normalizer: &Normalizer,
 ) {
@@ -681,19 +681,22 @@ fn save_checkpoint<M: GnnModel>(
 /// Evaluates `model` on `dataset` with frozen parameters.
 ///
 /// Returns the mean loss in normalized space (the paper's test-loss axis)
-/// plus denormalized MAE metrics.
+/// plus denormalized MAE metrics. Nothing is recorded: the forward and the
+/// loss run on the non-recording executor, whose values equal the tape's
+/// bit for bit.
 ///
 /// # Panics
 ///
 /// Panics if `dataset` is empty.
-pub fn evaluate<M: GnnModel + ?Sized>(
-    model: &M,
+pub fn evaluate(
+    model: &Egnn,
     dataset: &Dataset,
     normalizer: &Normalizer,
     loss_cfg: &LossConfig,
     batch_size: usize,
 ) -> EvalMetrics {
     assert!(!dataset.is_empty(), "cannot evaluate on an empty dataset");
+    let frozen = FrozenEgnn::freeze(model);
     let mut loss_sum = 0.0f64;
     let mut n_batches = 0usize;
     let mut e_abs = 0.0f64;
@@ -702,30 +705,28 @@ pub fn evaluate<M: GnnModel + ?Sized>(
     let mut n_force_comps = 0usize;
 
     for (batch, targets) in BatchIterator::new(dataset, batch_size, None, *normalizer) {
-        let mut tape = Tape::new();
-        let pvars = model.params().bind_frozen(&mut tape);
-        let out = model.forward(&mut tape, &pvars, &batch);
-        let loss = loss_cfg.compute(&mut tape, out, &batch, &targets);
-        loss_sum += tape.value(loss).item() as f64;
-        n_batches += 1;
+        let (energy, forces) = frozen.predict(&batch);
 
         // Denormalized MAEs.
-        let pred_e = tape.value(out.energy);
         for g in 0..batch.n_graphs() {
             let n_atoms = batch.node_counts()[g] as f64;
-            let pred_per_atom = pred_e.get(g, 0) as f64 / n_atoms;
+            let pred_per_atom = energy.get(g, 0) as f64 / n_atoms;
             let tgt_per_atom = targets.energy.get(g, 0) as f64;
             e_abs += (pred_per_atom - tgt_per_atom).abs() * normalizer.energy_std;
             n_graphs += 1;
         }
-        let pred_f = tape.value(out.forces);
         for a in 0..batch.n_nodes() {
             for k in 0..3 {
-                let d = (pred_f.get(a, k) - targets.forces.get(a, k)) as f64;
+                let d = (forces.get(a, k) - targets.forces.get(a, k)) as f64;
                 f_abs += d.abs() * normalizer.force_std;
                 n_force_comps += 1;
             }
         }
+
+        let out = ModelOutput { energy, forces };
+        let loss = loss_cfg.compute(&mut NoTape, out, &batch, &targets);
+        loss_sum += loss.item() as f64;
+        n_batches += 1;
     }
 
     EvalMetrics {
@@ -741,8 +742,8 @@ pub fn evaluate<M: GnnModel + ?Sized>(
 /// the over-represented sources and poor on the missing ones).
 ///
 /// Sources with no samples in `dataset` are omitted.
-pub fn evaluate_per_source<M: GnnModel + ?Sized>(
-    model: &M,
+pub fn evaluate_per_source(
+    model: &Egnn,
     dataset: &Dataset,
     normalizer: &Normalizer,
     loss_cfg: &LossConfig,
@@ -774,11 +775,83 @@ mod tests {
     use super::*;
     use matgnn_data::GeneratorConfig;
     use matgnn_model::{Egnn, EgnnConfig};
+    use matgnn_tensor::Tape;
+
+    use crate::LossKind;
 
     fn small_data() -> (Dataset, Dataset, Normalizer) {
         let (train, test) = Dataset::generate_split(30, 0.2, 23, &GeneratorConfig::default());
         let norm = Normalizer::fit(&train);
         (train, test, norm)
+    }
+
+    /// The reference for [`evaluate`]: the same metrics from a forward and
+    /// a loss recorded on a tape that nothing walks.
+    fn evaluate_on_tape(
+        model: &Egnn,
+        dataset: &Dataset,
+        normalizer: &Normalizer,
+        loss_cfg: &LossConfig,
+        batch_size: usize,
+    ) -> EvalMetrics {
+        let (mut loss_sum, mut n_batches) = (0.0f64, 0usize);
+        let (mut e_abs, mut n_graphs, mut f_abs, mut n_force_comps) = (0.0f64, 0usize, 0.0f64, 0);
+        for (batch, targets) in BatchIterator::new(dataset, batch_size, None, *normalizer) {
+            let mut tape = Tape::new();
+            let pvars = model.params().bind_frozen(&mut tape);
+            let out = model.forward(&mut tape, &pvars, &batch);
+            let loss = loss_cfg.compute(&mut tape, out, &batch, &targets);
+            loss_sum += tape.value(loss).item() as f64;
+            n_batches += 1;
+            let pred_e = tape.value(out.energy);
+            for g in 0..batch.n_graphs() {
+                let pred_per_atom = pred_e.get(g, 0) as f64 / batch.node_counts()[g] as f64;
+                let tgt_per_atom = targets.energy.get(g, 0) as f64;
+                e_abs += (pred_per_atom - tgt_per_atom).abs() * normalizer.energy_std;
+                n_graphs += 1;
+            }
+            let pred_f = tape.value(out.forces);
+            for a in 0..batch.n_nodes() {
+                for k in 0..3 {
+                    let d = (pred_f.get(a, k) - targets.forces.get(a, k)) as f64;
+                    f_abs += d.abs() * normalizer.force_std;
+                    n_force_comps += 1;
+                }
+            }
+        }
+        EvalMetrics {
+            loss: loss_sum / n_batches as f64,
+            energy_mae: e_abs / n_graphs as f64,
+            force_mae: f_abs / n_force_comps as f64,
+        }
+    }
+
+    #[test]
+    fn evaluate_equals_tape_recorded_evaluation_bitwise() {
+        let (train, test, norm) = small_data();
+        let config = EgnnConfig::new(12, 2)
+            .with_seed(4)
+            .with_rbf(8)
+            .with_edge_gate(true);
+        let mut model = Egnn::new(config);
+        let tc = TrainConfig {
+            epochs: 1,
+            batch_size: 8,
+            ..Default::default()
+        };
+        let _ = Trainer::new(tc).fit(&mut model, &train, None, &norm);
+        let bits = |m: &EvalMetrics| [m.loss, m.energy_mae, m.force_mae].map(f64::to_bits);
+        for kind in [LossKind::Mse, LossKind::Huber { delta: 0.3 }] {
+            let loss_cfg = LossConfig {
+                kind,
+                ..Default::default()
+            };
+            for batch_size in [3, 8] {
+                let got = evaluate(&model, &test, &norm, &loss_cfg, batch_size);
+                let want = evaluate_on_tape(&model, &test, &norm, &loss_cfg, batch_size);
+                assert_eq!(bits(&got), bits(&want), "{kind:?}, batch {batch_size}");
+            }
+        }
     }
 
     #[test]

@@ -88,6 +88,32 @@ fn unknown_command_fails_with_message() {
 }
 
 #[test]
+fn unknown_flag_fails_naming_it() {
+    // A typo, and a flag another subcommand reads: neither runs with
+    // defaults.
+    for (args, flag) in [
+        (&["train", "--graphs", "4", "--epoch", "1"][..], "--epoch"),
+        (
+            &["generate", "--graphs", "4", "--world", "2", "--out", "x"][..],
+            "--world",
+        ),
+        (
+            &["info", "--model", "m.mgnn", "--checkpointing"][..],
+            "--checkpointing",
+        ),
+    ] {
+        let out = cli().args(args).output().expect("run");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+}
+
+#[test]
 fn missing_required_flag_fails() {
     let out = cli()
         .args(["generate", "--graphs", "5"])

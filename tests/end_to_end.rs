@@ -91,34 +91,6 @@ fn checkpointed_training_converges_like_vanilla() {
 }
 
 #[test]
-fn gcn_baseline_worse_at_forces_than_egnn() {
-    // The architectural claim behind choosing EGNN (paper Sec. III-B):
-    // equivariant forces beat an invariant-feature force head.
-    let (train, test, norm) = pipeline_data();
-    let loss_cfg = LossConfig::default();
-    let tc = TrainConfig {
-        epochs: 5,
-        batch_size: 8,
-        ..Default::default()
-    };
-
-    let mut egnn = Egnn::new(EgnnConfig::with_target_params(5_000, 3));
-    let _ = Trainer::new(tc).fit(&mut egnn, &train, None, &norm);
-    let egnn_m = evaluate(&egnn, &test, &norm, &loss_cfg, 8);
-
-    let mut gcn = Gcn::new(GcnConfig::new(20, 3));
-    let _ = Trainer::new(tc).fit(&mut gcn, &train, None, &norm);
-    let gcn_m = evaluate(&gcn, &test, &norm, &loss_cfg, 8);
-
-    assert!(
-        egnn_m.force_mae < gcn_m.force_mae,
-        "EGNN force MAE {} not better than GCN {}",
-        egnn_m.force_mae,
-        gcn_m.force_mae
-    );
-}
-
-#[test]
 fn rbf_layernorm_variant_trains_end_to_end() {
     // The full-featured EGNN (RBF distances + LayerNorm + residual) must
     // train at least as stably as the plain one.
