@@ -1,16 +1,17 @@
-//! Shared plumbing for the experiment binaries: run-mode parsing and
-//! aligned/CSV table printing.
+//! Shared plumbing for the `matgnn_bench` targets: the run mode, the
+//! banner, the `BENCH_*.json` header and CSV row printing.
 //!
-//! Every `exp_*` binary accepts `--quick` (default, CI-sized) or `--full`
-//! (the paper-shaped run, several CPU-minutes) and prints both a
+//! Every target runs with `--quick` (default, CI-sized) or `--full` (the
+//! paper-shaped run, several CPU-minutes) and prints both a
 //! human-readable table and machine-readable CSV rows prefixed with
 //! `csv,`.
 
 #![warn(missing_docs)]
 
+use matgnn::model::{Egnn, GnnModel};
 use matgnn::scaling::ExperimentConfig;
 
-/// How much compute an experiment binary should spend.
+/// How much compute an experiment target should spend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunMode {
     /// CI-sized run (tens of seconds).
@@ -20,27 +21,6 @@ pub enum RunMode {
 }
 
 impl RunMode {
-    /// Parses `--quick` / `--full` from the process arguments.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on unknown arguments.
-    pub fn from_args() -> RunMode {
-        let mut mode = RunMode::Quick;
-        for arg in std::env::args().skip(1) {
-            match arg.as_str() {
-                "--quick" => mode = RunMode::Quick,
-                "--full" => mode = RunMode::Full,
-                "--help" | "-h" => {
-                    println!("usage: <exp> [--quick|--full]  (default: --quick)");
-                    std::process::exit(0);
-                }
-                other => panic!("unknown argument {other}; use --quick or --full"),
-            }
-        }
-        mode
-    }
-
     /// The matching experiment configuration.
     pub fn experiment_config(self) -> ExperimentConfig {
         match self {
@@ -97,9 +77,21 @@ pub fn csv_row(fields: &[String]) {
     println!("csv,{}", fields.join(","));
 }
 
-/// Formats a float with fixed width for aligned tables.
-pub fn f(x: f64) -> String {
-    format!("{x:.4}")
+/// One pass/fail gate of a suite: prints `ERROR: {why}` to stderr when
+/// `ok` is false, and returns `ok` so a suite can fold its gates with
+/// `passed &= gate(..)`.
+pub fn gate(ok: bool, why: &str) -> bool {
+    if !ok {
+        eprintln!("ERROR: {why}");
+    }
+    ok
+}
+
+/// Bit patterns of every parameter of `model`, for bitwise run
+/// comparisons.
+pub fn param_bits(model: &Egnn) -> Vec<u64> {
+    let flat = model.params().flatten();
+    flat.data().iter().map(|x| u64::from(x.to_bits())).collect()
 }
 
 #[cfg(test)]
@@ -123,11 +115,5 @@ mod tests {
         // Wrapping the header plus one payload field must parse as JSON.
         let doc = format!("{{\n{h}  \"ok\": true\n}}\n");
         matgnn::telemetry::json::parse(&doc).expect("header forms valid JSON");
-    }
-
-    #[test]
-    fn csv_join() {
-        // Smoke: formatting helpers produce stable output.
-        assert_eq!(f(1.0), "1.0000");
     }
 }

@@ -4,20 +4,15 @@
 //! distance featurization, per-source (multi-fidelity) normalization, the
 //! LLM-style LR schedule, LayerNorm and the force-prediction mode.
 //!
-//! ```sh
-//! cargo run --release -p matgnn-bench --bin exp_ablations -- [--quick|--full]
-//! ```
+//! Run: `cargo run --release -p matgnn-bench -- ablations [--quick|--full]`
 
 use matgnn::scaling::run_ablations;
-use matgnn_bench::{banner, csv_row, RunMode};
+use matgnn_bench::{csv_row, RunMode};
 
-fn main() {
-    let mode = RunMode::from_args();
+pub const TITLE: &str = "Ablations: residual updates, edge gate, LR schedule, normalization";
+
+pub fn run(mode: RunMode) -> bool {
     let cfg = mode.experiment_config();
-    banner(
-        "Ablations: residual updates, edge gate, LR schedule, normalization",
-        mode,
-    );
 
     let results = run_ablations(&cfg);
     println!(
@@ -111,4 +106,5 @@ fn main() {
             "constant wins here"
         }
     );
+    true
 }

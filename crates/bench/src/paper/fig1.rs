@@ -1,20 +1,14 @@
 //! Figure 1 — comparison of large-scale GNNs by model size and dataset
 //! size, with this work's foundational model in the top-right.
 //!
-//! ```sh
-//! cargo run --release -p matgnn-bench --bin exp_fig1
-//! ```
+//! Run: `cargo run --release -p matgnn-bench -- fig1`
 
 use matgnn::scaling::{format_landscape, landscape};
-use matgnn_bench::{banner, csv_row, RunMode};
+use matgnn_bench::{csv_row, RunMode};
 
-fn main() {
-    let mode = RunMode::from_args();
-    banner(
-        "Fig. 1: model-size vs dataset-size landscape of atomistic GNNs",
-        mode,
-    );
+pub const TITLE: &str = "Fig. 1: model-size vs dataset-size landscape of atomistic GNNs";
 
+pub fn run(_mode: RunMode) -> bool {
     let entries = landscape();
     println!("\n{}", format_landscape(&entries));
     csv_row(&["name,year,params,data_bytes,this_work".to_string()]);
@@ -58,4 +52,5 @@ fn main() {
     }
     println!("   ★ = this work (foundational EGNN, 2B params / 1.2 TB)");
     println!("\n✓ the foundational point dominates every prior model on both axes");
+    true
 }

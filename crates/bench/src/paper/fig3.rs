@@ -5,17 +5,15 @@
 //! size, plus saturating power-law fits whose diminishing-returns floor
 //! reproduces the paper's Sec. IV-A observation.
 //!
-//! ```sh
-//! cargo run --release -p matgnn-bench --bin exp_fig3 -- [--quick|--full]
-//! ```
+//! Run: `cargo run --release -p matgnn-bench -- fig3 [--quick|--full]`
 
 use matgnn::scaling::{format_params, format_tb, run_scaling_grid};
-use matgnn_bench::{banner, csv_row, RunMode};
+use matgnn_bench::{csv_row, RunMode};
 
-fn main() {
-    let mode = RunMode::from_args();
+pub const TITLE: &str = "Fig. 3: test loss vs model size across dataset sizes";
+
+pub fn run(mode: RunMode) -> bool {
     let cfg = mode.experiment_config();
-    banner("Fig. 3: test loss vs model size across dataset sizes", mode);
     let grid = run_scaling_grid(&cfg);
 
     println!("\ntest loss by model size (rows) and dataset size (columns):\n");
@@ -25,13 +23,7 @@ fn main() {
     }
     println!();
     let mut csv = vec!["paper_params,actual_params,tb,test_loss".to_string()];
-    for &size in &grid.model_sizes {
-        let paper = grid
-            .points
-            .iter()
-            .find(|p| p.actual_params == size)
-            .map(|p| p.paper_params)
-            .unwrap_or(size as f64);
+    for (&size, (paper, _)) in grid.model_sizes.iter().zip(grid.series_by_size()) {
         print!("{:>14}", format!("{} ({})", format_params(paper), size));
         for &tb in &grid.tb_points {
             let p = grid.point(size, tb).expect("grid point");
@@ -92,4 +84,5 @@ fn main() {
             fit.c
         );
     }
+    true
 }

@@ -6,49 +6,16 @@
 //! node; the breakdown is captured at the instant of the global peak, as
 //! the paper measures.
 //!
-//! ```sh
-//! cargo run --release -p matgnn-bench --bin exp_fig6 -- [--quick|--full]
-//! ```
+//! Run: `cargo run --release -p matgnn-bench -- fig6 [--quick|--full]`
 
-use matgnn::dist::{run_memory_settings, DdpConfig, MemorySetting};
-use matgnn::model::{Egnn, EgnnConfig};
-use matgnn::prelude::*;
+use matgnn::dist::MemorySetting;
 use matgnn::tensor::{format_bytes, MemoryCategory};
-use matgnn_bench::{banner, csv_row, RunMode};
+use matgnn_bench::{csv_row, RunMode};
 
-fn main() {
-    let mode = RunMode::from_args();
-    let cfg = mode.experiment_config();
-    banner("Fig. 6: peak memory breakdown (vanilla vs +AC +ZeRO)", mode);
+pub const TITLE: &str = "Fig. 6: peak memory breakdown (vanilla vs +AC +ZeRO)";
 
-    // The paper profiles a *weight-heavy* regime (billions of parameters,
-    // moderate per-GPU batch), where optimizer states are the second
-    // largest memory block. Mirror that ratio: a large model, a small
-    // per-rank batch, and just enough graphs for a few steps.
-    let world = 4usize;
-    let per_rank_batch = 2usize;
-    let steps = 4usize;
-    let mem_params = match mode {
-        RunMode::Quick => 150_000,
-        RunMode::Full => 600_000,
-    };
-    let n_graphs = world * per_rank_batch * steps;
-    println!("\npreparing {n_graphs} training graphs…");
-    let ds = Dataset::generate_aggregate(n_graphs, cfg.seed, &cfg.generator());
-    let norm = Normalizer::fit(&ds);
-    let model = Egnn::new(EgnnConfig::with_target_params(mem_params, 5).with_seed(cfg.seed));
-    println!(
-        "model: {} | simulated node: {world} ranks\n",
-        model.describe()
-    );
-
-    let base = DdpConfig {
-        world,
-        epochs: 1,
-        batch_size: per_rank_batch,
-        ..Default::default()
-    };
-    let profiles = run_memory_settings(&model, &ds, &norm, &base);
+pub fn run(mode: RunMode) -> bool {
+    let profiles = super::table2::profiles(mode);
     csv_row(&["setting,category,bytes,fraction".to_string()]);
 
     for p in &profiles {
@@ -102,4 +69,5 @@ fn main() {
         format_bytes(after_ac.peak.get(MemoryCategory::OptimizerState)),
         format_bytes(after_zero.peak.get(MemoryCategory::OptimizerState)),
     );
+    true
 }

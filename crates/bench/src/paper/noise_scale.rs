@@ -4,21 +4,16 @@
 //! diminish? This quantifies the headroom behind the paper's Sec. V
 //! scalability stack (DDP across 32×4 GPUs).
 //!
-//! ```sh
-//! cargo run --release -p matgnn-bench --bin exp_noise_scale -- [--quick|--full]
-//! ```
+//! Run: `cargo run --release -p matgnn-bench -- noise_scale [--quick|--full]`
 
 use matgnn::prelude::*;
 use matgnn::train::estimate_noise_scale;
-use matgnn_bench::{banner, csv_row, RunMode};
+use matgnn_bench::{csv_row, RunMode};
 
-fn main() {
-    let mode = RunMode::from_args();
+pub const TITLE: &str = "Gradient noise scale: critical batch size for GNN training";
+
+pub fn run(mode: RunMode) -> bool {
     let cfg = mode.experiment_config();
-    banner(
-        "Gradient noise scale: critical batch size for GNN training",
-        mode,
-    );
 
     let gen = cfg.generator();
     let n_graphs = cfg.units.aggregate_graphs();
@@ -110,4 +105,5 @@ fn main() {
             );
         }
     }
+    true
 }

@@ -6,17 +6,15 @@
 //! flat by construction; the *modeled* curve combines measured single-rank
 //! compute with the ring-all-reduce interconnect cost model.
 //!
-//! ```sh
-//! cargo run --release -p matgnn-bench --bin exp_strong_scaling -- [--quick|--full]
-//! ```
+//! Run: `cargo run --release -p matgnn-bench -- strong_scaling [--quick|--full]`
 
 use matgnn::scaling::run_strong_scaling;
-use matgnn_bench::{banner, csv_row, RunMode};
+use matgnn_bench::{csv_row, RunMode};
 
-fn main() {
-    let mode = RunMode::from_args();
+pub const TITLE: &str = "Strong scaling: DDP throughput vs rank count";
+
+pub fn run(mode: RunMode) -> bool {
     let cfg = mode.experiment_config();
-    banner("Strong scaling: DDP throughput vs rank count", mode);
 
     let worlds = [1usize, 2, 4, 8];
     let points = run_strong_scaling(&cfg, &worlds);
@@ -59,4 +57,5 @@ fn main() {
             "communication-bound at this model size"
         }
     );
+    true
 }

@@ -4,21 +4,16 @@
 //! nodes/edges/graphs/bytes per source, and prints them side by side with
 //! the paper's reported values.
 //!
-//! ```sh
-//! cargo run --release -p matgnn-bench --bin exp_table1 -- [--quick|--full]
-//! ```
+//! Run: `cargo run --release -p matgnn-bench -- table1 [--quick|--full]`
 
 use matgnn::data::{Dataset, SourceKind};
 use matgnn::tensor::format_bytes;
-use matgnn_bench::{banner, csv_row, RunMode};
+use matgnn_bench::{csv_row, RunMode};
 
-fn main() {
-    let mode = RunMode::from_args();
+pub const TITLE: &str = "Table I: summary of the data sources of the aggregated dataset";
+
+pub fn run(mode: RunMode) -> bool {
     let cfg = mode.experiment_config();
-    banner(
-        "Table I: summary of the data sources of the aggregated dataset",
-        mode,
-    );
 
     let n_graphs = cfg.units.aggregate_graphs();
     println!("\ngenerating synthetic aggregate of {n_graphs} graphs (≡ 1.2 paper-TB)…\n");
@@ -116,4 +111,5 @@ fn main() {
         "OC2020 must dominate the aggregate as in the paper"
     );
     println!("\n✓ per-source graph proportions match Table I by construction");
+    true
 }

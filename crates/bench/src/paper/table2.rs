@@ -3,51 +3,17 @@
 //!
 //! Paper values: memory 100% → 42% → 27%; time 100% → 110% → 133%.
 //!
-//! ```sh
-//! cargo run --release -p matgnn-bench --bin exp_table2 -- [--quick|--full]
-//! ```
+//! Run: `cargo run --release -p matgnn-bench -- table2 [--quick|--full]`
 
-use matgnn::dist::{format_table2, run_memory_settings, DdpConfig};
+use matgnn::dist::{format_table2, run_memory_settings, DdpConfig, SettingProfile};
 use matgnn::model::{Egnn, EgnnConfig};
 use matgnn::prelude::*;
-use matgnn_bench::{banner, csv_row, RunMode};
+use matgnn_bench::{csv_row, RunMode};
 
-fn main() {
-    let mode = RunMode::from_args();
-    let cfg = mode.experiment_config();
-    banner(
-        "Table II: peak-memory reduction and training-time overhead",
-        mode,
-    );
+pub const TITLE: &str = "Table II: peak-memory reduction and training-time overhead";
 
-    // The paper profiles a *weight-heavy* regime (billions of parameters,
-    // moderate per-GPU batch), where optimizer states are the second
-    // largest memory block. Mirror that ratio: a large model, a small
-    // per-rank batch, and just enough graphs for a few steps.
-    let world = 4usize;
-    let per_rank_batch = 2usize;
-    let steps = 4usize;
-    let mem_params = match mode {
-        RunMode::Quick => 150_000,
-        RunMode::Full => 600_000,
-    };
-    let n_graphs = world * per_rank_batch * steps;
-    println!("\npreparing {n_graphs} training graphs…");
-    let ds = Dataset::generate_aggregate(n_graphs, cfg.seed, &cfg.generator());
-    let norm = Normalizer::fit(&ds);
-    let model = Egnn::new(EgnnConfig::with_target_params(mem_params, 5).with_seed(cfg.seed));
-    println!(
-        "model: {} | simulated node: {world} ranks\n",
-        model.describe()
-    );
-
-    let base = DdpConfig {
-        world,
-        epochs: 1,
-        batch_size: per_rank_batch,
-        ..Default::default()
-    };
-    let profiles = run_memory_settings(&model, &ds, &norm, &base);
+pub fn run(mode: RunMode) -> bool {
+    let profiles = profiles(mode);
 
     println!("{}", format_table2(&profiles));
     println!("paper reference:");
@@ -101,4 +67,39 @@ fn main() {
     println!(
         "  (absolute percentages depend on the substrate; the paper's shape is\n   lower-memory-for-more-time, which the rows above exhibit)"
     );
+    true
+}
+
+/// Profiles vanilla, +AC and +AC +ZeRO training on one simulated 4-rank
+/// node; Fig. 6 reads the same three profiles.
+pub fn profiles(mode: RunMode) -> Vec<SettingProfile> {
+    let cfg = mode.experiment_config();
+    // The paper profiles a *weight-heavy* regime (billions of parameters,
+    // moderate per-GPU batch), where optimizer states are the second
+    // largest memory block. Mirror that ratio: a large model, a small
+    // per-rank batch, and just enough graphs for a few steps.
+    let world = 4usize;
+    let per_rank_batch = 2usize;
+    let steps = 4usize;
+    let mem_params = match mode {
+        RunMode::Quick => 150_000,
+        RunMode::Full => 600_000,
+    };
+    let n_graphs = world * per_rank_batch * steps;
+    println!("\npreparing {n_graphs} training graphs…");
+    let ds = Dataset::generate_aggregate(n_graphs, cfg.seed, &cfg.generator());
+    let norm = Normalizer::fit(&ds);
+    let model = Egnn::new(EgnnConfig::with_target_params(mem_params, 5).with_seed(cfg.seed));
+    println!(
+        "model: {} | simulated node: {world} ranks\n",
+        model.describe()
+    );
+
+    let base = DdpConfig {
+        world,
+        epochs: 1,
+        batch_size: per_rank_batch,
+        ..Default::default()
+    };
+    run_memory_settings(&model, &ds, &norm, &base)
 }

@@ -3,20 +3,15 @@
 //! aggregate vs training from scratch on a data-poor downstream task
 //! (MPTrj-like bulk crystals).
 //!
-//! ```sh
-//! cargo run --release -p matgnn-bench --bin exp_transfer -- [--quick|--full]
-//! ```
+//! Run: `cargo run --release -p matgnn-bench -- transfer [--quick|--full]`
 
 use matgnn::scaling::run_transfer;
-use matgnn_bench::{banner, csv_row, RunMode};
+use matgnn_bench::{csv_row, RunMode};
 
-fn main() {
-    let mode = RunMode::from_args();
+pub const TITLE: &str = "Transfer: foundation model vs from-scratch on a small target task";
+
+pub fn run(mode: RunMode) -> bool {
     let cfg = mode.experiment_config();
-    banner(
-        "Transfer: foundation model vs from-scratch on a small target task",
-        mode,
-    );
 
     let results = run_transfer(&cfg);
     println!(
@@ -59,4 +54,5 @@ fn main() {
             "fine-tuning regressed (unexpected)"
         }
     );
+    true
 }

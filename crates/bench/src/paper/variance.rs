@@ -5,21 +5,19 @@
 //! single-run grid points (the paper, like most billion-parameter
 //! studies, reports single runs).
 //!
-//! ```sh
-//! cargo run --release -p matgnn-bench --bin exp_variance -- [--quick|--full]
-//! ```
+//! Run: `cargo run --release -p matgnn-bench -- variance [--quick|--full]`
 
 use matgnn::scaling::{format_params, run_seed_variance};
-use matgnn_bench::{banner, csv_row, RunMode};
+use matgnn_bench::{csv_row, RunMode};
 
-fn main() {
-    let mode = RunMode::from_args();
+pub const TITLE: &str = "Seed variance: test-loss error bars at 0.4 TB";
+
+pub fn run(mode: RunMode) -> bool {
     let cfg = mode.experiment_config();
     let n_seeds = match mode {
         RunMode::Quick => 3,
         RunMode::Full => 5,
     };
-    banner("Seed variance: test-loss error bars at 0.4 TB", mode);
 
     let points = run_seed_variance(&cfg, n_seeds);
     println!(
@@ -57,4 +55,5 @@ fn main() {
         "  worst coefficient of variation: {:.1}% — grid differences smaller than ~2σ\n  should not be over-read (see EXPERIMENTS.md known divergences)",
         100.0 * worst_cv
     );
+    true
 }

@@ -4,9 +4,7 @@
 //! that [`MemoryTracker`] peak accounting is unaffected, and writes the
 //! results to `BENCH_alloc.json`.
 //!
-//! ```sh
-//! MATGNN_THREADS=2 cargo run --release -p matgnn-bench --bin exp_alloc -- [--quick|--full]
-//! ```
+//! Run: `MATGNN_THREADS=2 cargo run --release -p matgnn-bench -- alloc [--quick|--full]`
 //!
 //! The allocation legs run at pool-of-1 so the numbers isolate tensor
 //! buffer traffic from the worker pool's per-dispatch job handles; the
@@ -15,43 +13,17 @@
 //! 90% of steady-state allocations, or parks more buffers than it ever
 //! freshly allocated, so CI can gate on it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use matgnn::prelude::*;
 use matgnn::tensor::{pool, recycler, Runtime};
 use matgnn::train::{profile_step, train_step, Adam, AdamHyper, Optimizer};
+use matgnn_bench::{gate, param_bits, RunMode};
 
-/// [`System`] with an allocation-event counter: `alloc` and `realloc`
-/// calls bump [`ALLOC_EVENTS`]; frees are not counted (the steady-state
-/// claim is about *new* heap traffic).
-struct CountingAlloc;
+use crate::{ALLOC_BYTES, ALLOC_EVENTS};
 
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates every operation to `System` unchanged.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+pub const TITLE: &str = "Steady-state allocations: recycler on vs off, bitwise-checked";
 
 struct Leg {
     allocs_per_step: f64,
@@ -60,16 +32,30 @@ struct Leg {
     final_loss: f64,
 }
 
+/// The fixed batch every leg trains on, and the model width.
+struct Job {
+    batch: GraphBatch,
+    targets: Targets,
+    loss_cfg: LossConfig,
+    hidden: usize,
+}
+
+impl Job {
+    /// A fresh model; every leg starts from the same seed.
+    fn model(&self) -> Egnn {
+        Egnn::new(EgnnConfig::new(self.hidden, 3).with_seed(42))
+    }
+}
+
 /// Runs `steps` full optimizer steps (forward + backward + Adam + grad
 /// recycle — the trainer's steady-state loop) and returns the last loss.
-fn run_steps(
-    model: &mut Egnn,
-    optimizer: &mut Adam,
-    batch: &GraphBatch,
-    targets: &Targets,
-    loss_cfg: &LossConfig,
-    steps: usize,
-) -> f64 {
+fn run_steps(job: &Job, model: &mut Egnn, optimizer: &mut Adam, steps: usize) -> f64 {
+    let Job {
+        batch,
+        targets,
+        loss_cfg,
+        ..
+    } = job;
     let mut last = 0.0;
     for _ in 0..steps {
         let outcome = train_step(&*model, batch, targets, loss_cfg, false, None);
@@ -85,24 +71,16 @@ fn run_steps(
 /// One measured leg: fresh model + optimizer, `warmup` unmeasured steps
 /// (fills the recycler pool and the tape-length hint), then `steps`
 /// measured ones.
-fn measure_leg(
-    enabled: bool,
-    batch: &GraphBatch,
-    targets: &Targets,
-    loss_cfg: &LossConfig,
-    hidden: usize,
-    warmup: usize,
-    steps: usize,
-) -> Leg {
+fn measure_leg(job: &Job, enabled: bool, warmup: usize, steps: usize) -> Leg {
     let _rt = Runtime::current().with_recycler(enabled).enter();
-    let mut model = Egnn::new(EgnnConfig::new(hidden, 3).with_seed(42));
+    let mut model = job.model();
     let mut optimizer = Adam::new(model.params(), AdamHyper::default(), None);
-    run_steps(&mut model, &mut optimizer, batch, targets, loss_cfg, warmup);
+    run_steps(job, &mut model, &mut optimizer, warmup);
 
     let allocs0 = ALLOC_EVENTS.load(Ordering::Relaxed);
     let bytes0 = ALLOC_BYTES.load(Ordering::Relaxed);
     let t0 = Instant::now();
-    let final_loss = run_steps(&mut model, &mut optimizer, batch, targets, loss_cfg, steps);
+    let final_loss = run_steps(job, &mut model, &mut optimizer, steps);
     let wall = t0.elapsed();
     let allocs = ALLOC_EVENTS.load(Ordering::Relaxed) - allocs0;
     let bytes = ALLOC_BYTES.load(Ordering::Relaxed) - bytes0;
@@ -117,56 +95,29 @@ fn measure_leg(
 
 /// Trains a fresh model for `steps` at the configured pool size and
 /// returns the bit patterns of the last loss and every parameter.
-fn trajectory_bits(
-    enabled: bool,
-    batch: &GraphBatch,
-    targets: &Targets,
-    loss_cfg: &LossConfig,
-    hidden: usize,
-    steps: usize,
-) -> Vec<u64> {
+fn trajectory_bits(job: &Job, enabled: bool, steps: usize) -> Vec<u64> {
     let _rt = Runtime::current().with_recycler(enabled).enter();
-    let mut model = Egnn::new(EgnnConfig::new(hidden, 3).with_seed(42));
+    let mut model = job.model();
     let mut optimizer = Adam::new(model.params(), AdamHyper::default(), None);
-    let loss = run_steps(&mut model, &mut optimizer, batch, targets, loss_cfg, steps);
+    let loss = run_steps(job, &mut model, &mut optimizer, steps);
 
     let mut bits = vec![loss.to_bits()];
-    bits.extend(
-        model
-            .params()
-            .flatten()
-            .data()
-            .iter()
-            .map(|x| u64::from(x.to_bits())),
-    );
+    bits.extend(param_bits(&model));
     bits
 }
 
 /// Peak tracked bytes of one profiled step under the given recycler mode.
-fn tracked_peak(
-    enabled: bool,
-    batch: &GraphBatch,
-    targets: &Targets,
-    loss_cfg: &LossConfig,
-    hidden: usize,
-) -> u64 {
+fn tracked_peak(job: &Job, enabled: bool) -> u64 {
     let _rt = Runtime::current().with_recycler(enabled).enter();
-    let mut model = Egnn::new(EgnnConfig::new(hidden, 3).with_seed(42));
-    profile_step(&mut model, batch, targets, loss_cfg, false).peak_total
+    let mut model = job.model();
+    profile_step(&mut model, &job.batch, &job.targets, &job.loss_cfg, false).peak_total
 }
 
-#[allow(clippy::too_many_lines)]
-fn main() {
-    let mode = matgnn_bench::RunMode::from_args();
-    matgnn_bench::banner(
-        "Steady-state allocations: recycler on vs off, bitwise-checked",
-        mode,
-    );
-
+pub fn run(mode: RunMode) -> bool {
     let threads = pool::num_threads();
     let (hidden, graphs, warmup, steps, traj_steps) = match mode {
-        matgnn_bench::RunMode::Quick => (48, 6, 3, 8, 6),
-        matgnn_bench::RunMode::Full => (96, 12, 5, 20, 10),
+        RunMode::Quick => (48, 6, 3, 8, 6),
+        RunMode::Full => (96, 12, 5, 20, 10),
     };
     println!(
         "pool: {threads} worker(s) configured; allocation legs forced to 1\n\
@@ -177,13 +128,18 @@ fn main() {
     let norm = Normalizer::fit(&ds);
     let sample_refs: Vec<&Sample> = ds.samples().iter().collect();
     let (batch, targets) = collate(&sample_refs, &norm);
-    let loss_cfg = LossConfig::default();
+    let job = Job {
+        batch,
+        targets,
+        loss_cfg: LossConfig::default(),
+        hidden,
+    };
 
     // — allocation + speed legs at pool-of-1 —
     let pool_of_1 = Runtime::current().with_threads(1).enter();
-    let off = measure_leg(false, &batch, &targets, &loss_cfg, hidden, warmup, steps);
+    let off = measure_leg(&job, false, warmup, steps);
     let rec0 = recycler::stats();
-    let on = measure_leg(true, &batch, &targets, &loss_cfg, hidden, warmup, steps);
+    let on = measure_leg(&job, true, warmup, steps);
     let rec = recycler::stats().delta_since(&rec0);
     // The pool parks only buffers it lent, so it can never hold more than
     // it freshly allocated over the whole process.
@@ -220,8 +176,8 @@ fn main() {
     );
 
     // — bitwise trajectory at the configured pool size —
-    let traj_off = trajectory_bits(false, &batch, &targets, &loss_cfg, hidden, traj_steps);
-    let traj_on = trajectory_bits(true, &batch, &targets, &loss_cfg, hidden, traj_steps);
+    let traj_off = trajectory_bits(&job, false, traj_steps);
+    let traj_on = trajectory_bits(&job, true, traj_steps);
     let bitwise_traj = traj_off == traj_on;
     println!(
         "trajectory ({traj_steps} steps, pool {threads}): loss + all params bitwise {}",
@@ -229,8 +185,8 @@ fn main() {
     );
 
     // — logical memory accounting must not notice the recycler —
-    let peak_off = tracked_peak(false, &batch, &targets, &loss_cfg, hidden);
-    let peak_on = tracked_peak(true, &batch, &targets, &loss_cfg, hidden);
+    let peak_off = tracked_peak(&job, false);
+    let peak_on = tracked_peak(&job, true);
     let peak_equal = peak_off == peak_on;
     println!(
         "tracked peak: off {peak_off} B, on {peak_on} B — {}",
@@ -263,27 +219,21 @@ fn main() {
     std::fs::write(path, json).expect("write BENCH_alloc.json");
     println!("\nwrote {path}");
 
-    let mut failed = false;
-    if !(bitwise_legs && bitwise_traj) {
-        eprintln!("ERROR: recycler on/off trajectories diverged bitwise");
-        failed = true;
-    }
-    if !peak_equal {
-        eprintln!("ERROR: MemoryTracker peak changed with the recycler");
-        failed = true;
-    }
-    if pooled as u64 > misses_total {
-        eprintln!("ERROR: recycler holds {pooled} buffers but allocated only {misses_total}");
-        failed = true;
-    }
-    if reduction < 0.90 {
-        eprintln!(
-            "ERROR: allocation reduction {:.1}% below the 90% floor",
+    let mut passed = gate(
+        bitwise_legs && bitwise_traj,
+        "recycler on/off trajectories diverged bitwise",
+    );
+    passed &= gate(peak_equal, "MemoryTracker peak changed with the recycler");
+    passed &= gate(
+        pooled as u64 <= misses_total,
+        &format!("recycler holds {pooled} buffers but allocated only {misses_total}"),
+    );
+    passed &= gate(
+        reduction >= 0.90,
+        &format!(
+            "allocation reduction {:.1}% below the 90% floor",
             100.0 * reduction
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+        ),
+    );
+    passed
 }

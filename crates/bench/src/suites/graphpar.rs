@@ -1,4 +1,6 @@
-//! `exp_graphpar` — the graph-parallel (domain-decomposition) benchmark.
+//! Graph-parallel (domain-decomposition) benchmark.
+//!
+//! Run: `cargo run --release -p matgnn-bench -- graphpar [--quick|--full]`
 //!
 //! Gates first, curve second:
 //!
@@ -19,7 +21,9 @@
 use std::time::Instant;
 
 use matgnn::prelude::*;
-use matgnn_bench::{banner, csv_row, RunMode};
+use matgnn_bench::{csv_row, gate, RunMode};
+
+pub const TITLE: &str = "Graph parallelism: domain decomposition, halo exchange, weak scaling";
 
 const SEED: u64 = 11;
 const CUTOFF: f64 = 2.5;
@@ -58,10 +62,13 @@ fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|v| v.to_bits()).collect()
 }
 
-fn main() {
-    let mode = RunMode::from_args();
-    banner("exp_graphpar — domain-decomposed graph parallelism", mode);
-    let mut failed = false;
+/// Whether two runs have bitwise-identical losses and final parameters.
+fn same_bits(a: &GraphParReport, b: &GraphParReport) -> bool {
+    bits(&a.losses) == bits(&b.losses) && bits(&a.final_params) == bits(&b.final_params)
+}
+
+pub fn run(mode: RunMode) -> bool {
+    let mut passed = true;
 
     // ── Gate 1: partitioned forward ≡ plain single-tape EGNN, bitwise ──
     let structure = synthetic_slab(48, SEED);
@@ -88,16 +95,16 @@ fn main() {
         )
         .expect("local halo cannot fail");
         let ok = out.energy.to_bits() == e_ref.to_bits() && bits(out.forces.data()) == bits(&f_ref);
-        if !ok {
-            eprintln!("ERROR: engine diverged from plain EGNN at V={n_parts}");
-            engine_vs_plain = false;
-        }
+        engine_vs_plain &= gate(
+            ok,
+            &format!("engine diverged from plain EGNN at V={n_parts}"),
+        );
     }
     println!(
         "gate 1  engine ≡ plain EGNN (V∈{{1,2,4}})            {}",
         if engine_vs_plain { "OK" } else { "DIVERGED" }
     );
-    failed |= !engine_vs_plain;
+    passed &= engine_vs_plain;
 
     // ── Gate 2: trajectory bitwise invariant to world size (fixed V) ──
     let steps = match mode {
@@ -108,18 +115,16 @@ fn main() {
     let mut world_invariant = true;
     for world in [2usize, 4] {
         let r = train_graphpar(&train_cfg(world, 4, 48, steps));
-        let ok = bits(&r.losses) == bits(&reference.losses)
-            && bits(&r.final_params) == bits(&reference.final_params);
-        if !ok {
-            eprintln!("ERROR: W={world} trajectory diverged from single-rank");
-            world_invariant = false;
-        }
+        world_invariant &= gate(
+            same_bits(&r, &reference),
+            &format!("W={world} trajectory diverged from single-rank"),
+        );
     }
     println!(
         "gate 2  trajectory invariant to W∈{{1,2,4}} at V=4    {}",
         if world_invariant { "OK" } else { "DIVERGED" }
     );
-    failed |= !world_invariant;
+    passed &= world_invariant;
 
     // ── Gate 3: ZeRO on/off bitwise identical (power-of-two worlds) ──
     let mut zero_clean = true;
@@ -128,18 +133,16 @@ fn main() {
             zero: true,
             ..train_cfg(world, 4, 48, steps)
         });
-        let ok = bits(&zero.losses) == bits(&reference.losses)
-            && bits(&zero.final_params) == bits(&reference.final_params);
-        if !ok {
-            eprintln!("ERROR: ZeRO changed bits at W={world}");
-            zero_clean = false;
-        }
+        zero_clean &= gate(
+            same_bits(&zero, &reference),
+            &format!("ZeRO changed bits at W={world}"),
+        );
     }
     println!(
         "gate 3  ZeRO on/off bitwise identical (W∈{{2,4}})     {}",
         if zero_clean { "OK" } else { "DIVERGED" }
     );
-    failed |= !zero_clean;
+    passed &= zero_clean;
 
     // ── Gate 4: overlap changes accounting, never bits ──
     let overlapped = train_graphpar(&GraphParConfig {
@@ -147,16 +150,11 @@ fn main() {
         ..train_cfg(2, 4, 48, steps)
     });
     let plain2 = train_graphpar(&train_cfg(2, 4, 48, steps));
-    let overlap_bits_ok = bits(&overlapped.losses) == bits(&plain2.losses)
-        && bits(&overlapped.final_params) == bits(&plain2.final_params);
-    let overlap_accounted =
-        overlapped.stats.overlapped_seconds > 0.0 && plain2.stats.overlapped_seconds == 0.0;
-    if !overlap_bits_ok {
-        eprintln!("ERROR: comm overlap changed bits");
-    }
-    if !overlap_accounted {
-        eprintln!("ERROR: comm overlap credited no hidden time");
-    }
+    let overlap_bits_ok = gate(same_bits(&overlapped, &plain2), "comm overlap changed bits");
+    let overlap_accounted = gate(
+        overlapped.stats.overlapped_seconds > 0.0 && plain2.stats.overlapped_seconds == 0.0,
+        "comm overlap credited no hidden time",
+    );
     println!(
         "gate 4  overlap: bits unchanged, time credited       {}",
         if overlap_bits_ok && overlap_accounted {
@@ -165,7 +163,7 @@ fn main() {
             "FAILED"
         }
     );
-    failed |= !(overlap_bits_ok && overlap_accounted);
+    passed &= overlap_bits_ok && overlap_accounted;
 
     // ── Weak-scaling sweep: atoms/rank fixed, world grows ──
     let (atoms_per_rank, worlds, sweep_steps) = match mode {
@@ -251,10 +249,10 @@ fn main() {
         "gate 5  per-rank memory ceiling (worst {worst_ratio:.2}x ≤ 1.80x) {}",
         if mem_ok { "OK" } else { "FAILED" }
     );
-    if !mem_ok {
-        eprintln!("ERROR: per-rank footprint grew {worst_ratio:.2}x under weak scaling");
-    }
-    failed |= !mem_ok;
+    passed &= gate(
+        mem_ok,
+        &format!("per-rank footprint grew {worst_ratio:.2}x under weak scaling"),
+    );
 
     // ── BENCH_graphpar.json ──
     let sweep_json: Vec<String> = rows
@@ -290,9 +288,10 @@ fn main() {
     std::fs::write(path, json).expect("write BENCH_graphpar.json");
     println!("\nwrote {path}");
 
-    if failed {
-        eprintln!("exp_graphpar: one or more gates FAILED");
-        std::process::exit(1);
+    if !passed {
+        eprintln!("graphpar: one or more gates FAILED");
+        return false;
     }
     println!("all gates passed");
+    true
 }

@@ -6,9 +6,7 @@
 //! across pool sizes within the active tier and that scalar-vs-active
 //! results agree to tight tolerance, then writes `BENCH_kernels.json`.
 //!
-//! ```sh
-//! MATGNN_THREADS=8 cargo run --release -p matgnn-bench --bin exp_kernels -- [--quick|--full]
-//! ```
+//! Run: `MATGNN_THREADS=8 cargo run --release -p matgnn-bench -- kernels [--quick|--full]`
 //!
 //! Exits non-zero if any kernel diverges bitwise across pool sizes,
 //! exceeds the cross-tier parity tolerance, regresses below 0.95× under
@@ -29,8 +27,10 @@ use matgnn::prelude::*;
 use matgnn::tensor::rng::Rng;
 use matgnn::tensor::{pool, simd, Runtime};
 use matgnn::train::{train_step, AdamHyper};
-use matgnn_bench::{banner, csv_row, RunMode};
+use matgnn_bench::{csv_row, gate, RunMode};
 use std::time::{Duration, Instant};
+
+pub const TITLE: &str = "Kernel suite: scalar vs SIMD tier vs configured pool, bitwise-checked";
 
 /// Pooled speedup (active tier serial / pooled, timed interleaved) below
 /// which a kernel is considered to have regressed under the pool.
@@ -229,14 +229,7 @@ fn write_json(path: &str, mode: RunMode, threads: usize, rows: &[Row]) -> std::i
     std::fs::write(path, s)
 }
 
-#[allow(clippy::too_many_lines)]
-fn main() {
-    let mode = RunMode::from_args();
-    banner(
-        "Kernel suite: scalar vs SIMD tier vs configured pool, bitwise-checked",
-        mode,
-    );
-
+pub fn run(mode: RunMode) -> bool {
     let threads = pool::num_threads().max(2);
     let tier = simd::active_tier();
     let (reps, nm, nt, sum_rows, map_n, nodes, edges, dim, adam_n, hidden, graphs) = match mode {
@@ -263,6 +256,9 @@ fn main() {
 
     let mut rng = Rng::seed_from_u64(17);
     let mut rows = Vec::new();
+    let mut kernel = |name, tol, run: &dyn Fn() -> Vec<u32>| {
+        bench(&mut rows, name, reps, threads, tol, run);
+    };
 
     // Cross-tier tolerance on max |a−b|/(1+|a|): FMA contraction and the
     // polynomial exp differ from the scalar tier by ulps per operation;
@@ -278,9 +274,9 @@ fn main() {
     let mm = || bits(&a.matmul(&b));
     let mm_tn = || bits(&a.matmul_tn(&b));
     let mm_nt = || bits(&a.matmul_nt(&b));
-    bench(&mut rows, "matmul", reps, threads, tol_fma, &mm);
-    bench(&mut rows, "matmul_tn", reps, threads, tol_fma, &mm_tn);
-    bench(&mut rows, "matmul_nt", reps, threads, tol_fma, &mm_nt);
+    kernel("matmul", tol_fma, &mm);
+    kernel("matmul_tn", tol_fma, &mm_tn);
+    kernel("matmul_nt", tol_fma, &mm_nt);
     // — EGNN weight gradient dW = Xᵀ·dY over 1300 edges, H = 128, against
     //   plain matmul on the same FLOPs (X transposed once, outside timing) —
     let x_edges = Tensor::randn((1300, 128), 1.0, &mut rng);
@@ -288,53 +284,33 @@ fn main() {
     let x_t = x_edges.transpose();
     let egnn = || bits(&x_t.matmul(&dy_edges));
     let egnn_tn = || bits(&x_edges.matmul_tn(&dy_edges));
-    bench(&mut rows, "matmul_egnn", reps, threads, tol_fma, &egnn);
-    bench(
-        &mut rows,
-        "matmul_tn_egnn",
-        reps,
-        threads,
-        tol_fma,
-        &egnn_tn,
-    );
+    kernel("matmul_egnn", tol_fma, &egnn);
+    kernel("matmul_tn_egnn", tol_fma, &egnn_tn);
 
     // — transpose and reductions —
     let sq = Tensor::randn((nt, nt), 1.0, &mut rng);
-    bench(&mut rows, "transpose", reps, threads, tol_exact, &|| {
-        bits(&sq.transpose())
-    });
+    kernel("transpose", tol_exact, &|| bits(&sq.transpose()));
     let tall = Tensor::randn((sum_rows, 512), 1.0, &mut rng);
-    bench(&mut rows, "sum_axis0", reps, threads, tol_exact, &|| {
-        bits(&tall.sum_axis0())
-    });
+    kernel("sum_axis0", tol_exact, &|| bits(&tall.sum_axis0()));
 
     // — elementwise silu (the activation on the training hot path) —
     let flat = Tensor::randn((map_n / 512, 512), 1.0, &mut rng);
-    bench(&mut rows, "map_silu", reps, threads, tol_fma, &|| {
-        bits(&flat.silu())
-    });
+    kernel("map_silu", tol_fma, &|| bits(&flat.silu()));
 
     // — message-passing gather/scatter, EGNN-shaped (n_edges ≈ 30·n_nodes) —
     let feats = Tensor::randn((nodes, dim), 1.0, &mut rng);
     let idx: Vec<usize> = (0..edges).map(|_| rng.gen_range(0..nodes)).collect();
-    bench(&mut rows, "gather_rows", reps, threads, tol_exact, &|| {
-        bits(&feats.gather_rows(&idx))
-    });
+    kernel("gather_rows", tol_exact, &|| bits(&feats.gather_rows(&idx)));
     let msgs = Tensor::randn((edges, dim), 1.0, &mut rng);
-    bench(
-        &mut rows,
-        "scatter_add_rows",
-        reps,
-        threads,
-        tol_exact,
-        &|| bits(&msgs.scatter_add_rows(&idx, nodes)),
-    );
+    kernel("scatter_add_rows", tol_exact, &|| {
+        bits(&msgs.scatter_add_rows(&idx, nodes))
+    });
 
     // — optimizer update (clone cost is identical on all legs) —
     let p0: Vec<f32> = (0..adam_n).map(|_| rng.gen_range(-1.0..1.0)).collect();
     let g0: Vec<f32> = (0..adam_n).map(|_| rng.gen_range(-1.0..1.0)).collect();
     let hyper = AdamHyper::default();
-    bench(&mut rows, "adam_update", reps, threads, tol_fma, &|| {
+    kernel("adam_update", tol_fma, &|| {
         let mut p = p0.clone();
         let mut m = vec![0.0f32; adam_n];
         let mut v = vec![0.0f32; adam_n];
@@ -349,7 +325,7 @@ fn main() {
     let (batch, targets) = collate(&sample_refs, &norm);
     let model = Egnn::new(EgnnConfig::new(hidden, 3));
     let loss_cfg = LossConfig::default();
-    bench(&mut rows, "train_step", reps, threads, tol_e2e, &|| {
+    kernel("train_step", tol_e2e, &|| {
         let out = train_step(&model, &batch, &targets, &loss_cfg, false, None);
         let mut bits_out: Vec<u32> = vec![(out.loss as f32).to_bits()];
         for g in &out.grads {
@@ -362,19 +338,20 @@ fn main() {
     write_json(path, mode, threads, &rows).expect("write BENCH_kernels.json");
     println!("\nwrote {path} (tier: {})", tier.name());
 
-    let mut failed = false;
-    if rows.iter().any(|r| !r.equal) {
-        eprintln!("ERROR: at least one kernel diverged bitwise across pool sizes");
-        failed = true;
-    }
-    for r in rows.iter().filter(|r| !r.cross_tier_ok) {
-        eprintln!(
-            "ERROR: {} scalar-vs-{} parity {:.3e} exceeds tolerance",
-            r.name,
-            tier.name(),
-            r.cross_tier_max_diff
+    let mut passed = gate(
+        rows.iter().all(|r| r.equal),
+        "at least one kernel diverged bitwise across pool sizes",
+    );
+    for r in &rows {
+        passed &= gate(
+            r.cross_tier_ok,
+            &format!(
+                "{} scalar-vs-{} parity {:.3e} exceeds tolerance",
+                r.name,
+                tier.name(),
+                r.cross_tier_max_diff
+            ),
         );
-        failed = true;
     }
     // The pooled-speedup floor applies to individual kernels only:
     // `train_step` is an end-to-end composite of hundreds of small
@@ -388,21 +365,22 @@ fn main() {
     let oversubscribed = threads > avail;
     for r in rows.iter().filter(|r| r.name != "train_step") {
         let pooled_speedup = r.pooled_speedup;
-        if pooled_speedup < MIN_POOLED_SPEEDUP {
-            if oversubscribed {
-                eprintln!(
-                    "WARNING: {} at {pooled_speedup:.2}x pooled with {threads} workers on \
-                     {avail} core(s) — oversubscribed, floor not enforced",
-                    r.name
-                );
-            } else {
-                eprintln!(
-                    "ERROR: {} regressed under the pool ({pooled_speedup:.2}x < \
+        let floor_ok = pooled_speedup >= MIN_POOLED_SPEEDUP;
+        if !floor_ok && oversubscribed {
+            eprintln!(
+                "WARNING: {} at {pooled_speedup:.2}x pooled with {threads} workers on \
+                 {avail} core(s) — oversubscribed, floor not enforced",
+                r.name
+            );
+        } else {
+            passed &= gate(
+                floor_ok,
+                &format!(
+                    "{} regressed under the pool ({pooled_speedup:.2}x < \
                      {MIN_POOLED_SPEEDUP}x interleaved; pool engaged: {})",
                     r.name, r.pool_engaged
-                );
-                failed = true;
-            }
+                ),
+            );
         }
     }
     if tier != simd::SimdTier::Scalar {
@@ -418,13 +396,12 @@ fn main() {
             MIN_MATMUL_SIMD_SPEEDUP_AVX2
         };
         let simd_speedup = mm_row.scalar_ms / mm_row.serial_ms;
-        if simd_speedup < floor {
-            eprintln!(
-                "ERROR: single-thread matmul {tier} speedup {simd_speedup:.2}x \
-                 below the {floor}x target"
-            );
-            failed = true;
-        }
+        passed &= gate(
+            simd_speedup >= floor,
+            &format!(
+                "single-thread matmul {tier} speedup {simd_speedup:.2}x below the {floor}x target"
+            ),
+        );
         // (strided kernel, same-shape plain kernel, ceiling on the ratio)
         let gates: [(&str, Kernel, &str, Kernel, f64); 3] = [
             ("matmul_nt", &mm_nt, "matmul", &mm, MAX_NT_RATIO),
@@ -440,16 +417,14 @@ fn main() {
         for (name, strided, base, plain, max) in gates {
             let ratio = interleaved_ratio((strided, 1), (plain, 1));
             println!("{name} / {base}: {ratio:.2}x single-thread (interleaved best-of)");
-            if ratio > max {
-                eprintln!(
-                    "ERROR: {name} is {ratio:.2}x of {base} single-thread \
+            passed &= gate(
+                ratio <= max,
+                &format!(
+                    "{name} is {ratio:.2}x of {base} single-thread \
                      (> {max}x): the strided operand read is not paying off"
-                );
-                failed = true;
-            }
+                ),
+            );
         }
     }
-    if failed {
-        std::process::exit(1);
-    }
+    passed
 }

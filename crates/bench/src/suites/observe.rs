@@ -4,9 +4,7 @@
 //! telemetry layer stays bitwise-invisible and allocation-free when
 //! disabled. Writes `BENCH_observe.json`.
 //!
-//! ```sh
-//! cargo run --release -p matgnn-bench --bin exp_observe -- [--quick|--full]
-//! ```
+//! Run: `cargo run --release -p matgnn-bench -- observe [--quick|--full]`
 //!
 //! Three gates, each fatal for CI:
 //!
@@ -23,45 +21,23 @@
 //!    sink armed, and the disabled span hot path must perform zero heap
 //!    allocations.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use matgnn::prelude::*;
 use matgnn::serve::{BatcherConfig, DynamicBatcher, InferenceEngine};
 use matgnn::telemetry as tel;
 use matgnn::telemetry::analyze::{analyze, load_dir, render_flamegraph, Phase};
 use matgnn::train::Trainer;
+use matgnn_bench::{gate, param_bits, RunMode};
 
-/// [`System`] with an allocation-event counter (same harness as
-/// `exp_alloc` / `exp_serving`): `alloc`/`realloc` bump the counter,
-/// frees do not.
-struct CountingAlloc;
+use crate::ALLOC_EVENTS;
 
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates every operation to `System` unchanged.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+pub const TITLE: &str =
+    "Observability: trace known answers, /metrics overhead, disabled invisibility";
 
 /// Scraped p99 may exceed the baseline by at most this factor…
 const OVERHEAD_CEILING: f64 = 1.05;
@@ -189,23 +165,7 @@ fn serve_leg(engine: &Arc<InferenceEngine>, graphs: &[MolGraph], n: usize, scrap
 
     // Open-loop pacing at a rate both legs can sustain, so the scraper
     // is the only variable between them.
-    let interval = Duration::from_millis(2);
-    let start = Instant::now();
-    let mut tickets = Vec::with_capacity(n);
-    for i in 0..n {
-        let due = start + interval * i as u32;
-        if let Some(sleep) = due.checked_duration_since(Instant::now()) {
-            std::thread::sleep(sleep);
-        }
-        tickets.push(
-            batcher
-                .submit(graphs[i % graphs.len()].clone())
-                .expect("batcher rejected request"),
-        );
-    }
-    for t in tickets {
-        t.wait().expect("request dropped");
-    }
+    super::serving::submit_paced(&batcher, graphs, Duration::from_millis(2), n);
     let p99 = tel::window_quantile("serve.latency_ms", 0.99).expect("window p99");
 
     stop.store(true, Ordering::Relaxed);
@@ -250,14 +210,7 @@ fn trajectory_bits(telemetry_dir: Option<&std::path::Path>) -> Vec<u64> {
     }
     let last = report.epochs.last().expect("trained at least one epoch");
     let mut bits = vec![last.train_loss.to_bits()];
-    bits.extend(
-        model
-            .params()
-            .flatten()
-            .data()
-            .iter()
-            .map(|x| u64::from(x.to_bits())),
-    );
+    bits.extend(param_bits(&model));
     bits
 }
 
@@ -277,17 +230,10 @@ fn disabled_span_allocs(iters: u64) -> u64 {
     ALLOC_EVENTS.load(Ordering::Relaxed) - before
 }
 
-#[allow(clippy::too_many_lines)]
-fn main() {
-    let mode = matgnn_bench::RunMode::from_args();
-    matgnn_bench::banner(
-        "Observability: trace known answers, /metrics overhead, disabled invisibility",
-        mode,
-    );
-
+pub fn run(mode: RunMode) -> bool {
     let (params, serve_graphs, serve_n, span_iters) = match mode {
-        matgnn_bench::RunMode::Quick => (8_000, 16, 150, 200_000u64),
-        matgnn_bench::RunMode::Full => (30_000, 32, 600, 1_000_000u64),
+        RunMode::Quick => (8_000, 16, 150, 200_000u64),
+        RunMode::Full => (30_000, 32, 600, 1_000_000u64),
     };
 
     // — gate 1 —
@@ -366,29 +312,26 @@ fn main() {
     std::fs::write(path, json).expect("write BENCH_observe.json");
     println!("\nwrote {path}");
 
-    let mut failed = false;
-    if !trace_ok {
-        eprintln!("ERROR: trace analytics diverged from the known answer");
-        failed = true;
-    }
-    if !overhead_ok {
-        eprintln!(
-            "ERROR: 10 Hz /metrics scraping inflated p99 {:.1}% past the 5% bound",
+    let mut passed = gate(trace_ok, "trace analytics diverged from the known answer");
+    passed &= gate(
+        overhead_ok,
+        &format!(
+            "10 Hz /metrics scraping inflated p99 {:.1}% past the 5% bound",
             100.0 * (overhead - 1.0)
-        );
-        failed = true;
+        ),
+    );
+    passed &= gate(
+        bitwise_ok,
+        "arming the telemetry sink changed the training trajectory",
+    );
+    passed &= gate(
+        alloc_ok,
+        &format!("disabled span path allocated ({span_allocs} events)"),
+    );
+    if !passed {
+        eprintln!("observe: one or more gates FAILED");
+        return false;
     }
-    if !bitwise_ok {
-        eprintln!("ERROR: arming the telemetry sink changed the training trajectory");
-        failed = true;
-    }
-    if !alloc_ok {
-        eprintln!("ERROR: disabled span path allocated ({span_allocs} events)");
-        failed = true;
-    }
-    if failed {
-        eprintln!("exp_observe: one or more gates FAILED");
-        std::process::exit(1);
-    }
-    println!("exp_observe: all gates passed");
+    println!("observe: all gates passed");
+    true
 }

@@ -4,9 +4,7 @@
 //! memory peaks), measures the effective step time of each, and writes the
 //! results to `BENCH_pipeline.json`.
 //!
-//! ```sh
-//! MATGNN_THREADS=2 cargo run --release -p matgnn-bench --bin exp_pipeline -- [--quick|--full]
-//! ```
+//! Run: `MATGNN_THREADS=2 cargo run --release -p matgnn-bench -- pipeline [--quick|--full]`
 //!
 //! The simulated ranks share one machine, so raw wall time cannot show the
 //! interconnect cost that prefetching and backward-overlapped all-reduce
@@ -29,6 +27,10 @@ use matgnn::dist::CostModel;
 use matgnn::prelude::*;
 use matgnn::tensor::pool;
 use matgnn::train::vanilla_step;
+use matgnn_bench::{gate, param_bits, RunMode};
+
+pub const TITLE: &str =
+    "Latency-hiding pipeline: prefetch + overlapped all-reduce, bitwise-checked";
 
 struct ModeResult {
     name: &'static str,
@@ -48,46 +50,23 @@ impl ModeResult {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Trains a fresh model under `cfg` and records what the gates compare.
 fn run_mode(
     name: &'static str,
     ds: &Dataset,
     norm: &Normalizer,
     hidden: usize,
-    epochs: usize,
-    batch_size: usize,
-    cost: CostModel,
-    prefetch_depth: usize,
-    overlap_comm: bool,
-    bucket_size: Option<usize>,
+    cfg: &DdpConfig,
 ) -> ModeResult {
     let mut model = Egnn::new(EgnnConfig::new(hidden, 3).with_seed(42));
-    let cfg = DdpConfig {
-        world: 2,
-        epochs,
-        batch_size,
-        grad_clip: None, // overlap requires unclipped gradients
-        seed: 11,
-        cost,
-        bucket_size,
-        prefetch_depth,
-        overlap_comm,
-        ..Default::default()
-    };
-    let report = train_ddp(&mut model, ds, norm, &cfg);
+    let report = train_ddp(&mut model, ds, norm, cfg);
     assert_eq!(report.recoveries, 0);
     let steps = report.steps.max(1) as f64;
     let rank0 = &report.ranks[0];
     ModeResult {
         name,
         loss_bits: report.epoch_loss.iter().map(|l| l.to_bits()).collect(),
-        param_bits: model
-            .params()
-            .flatten()
-            .data()
-            .iter()
-            .map(|x| u64::from(x.to_bits()))
-            .collect(),
+        param_bits: param_bits(&model),
         peak_total: rank0.peak_total,
         wall_per_step: report.wall.as_secs_f64() / steps,
         modeled_per_step: rank0.comm.modeled_seconds / steps,
@@ -95,17 +74,11 @@ fn run_mode(
     }
 }
 
-fn main() {
-    let mode = matgnn_bench::RunMode::from_args();
-    matgnn_bench::banner(
-        "Latency-hiding pipeline: prefetch + overlapped all-reduce, bitwise-checked",
-        mode,
-    );
-
+pub fn run(mode: RunMode) -> bool {
     let threads = pool::num_threads();
     let (hidden, graphs, epochs, batch_size) = match mode {
-        matgnn_bench::RunMode::Quick => (32, 16, 2, 4),
-        matgnn_bench::RunMode::Full => (64, 32, 3, 4),
+        RunMode::Quick => (32, 16, 2, 4),
+        RunMode::Full => (64, 32, 3, 4),
     };
 
     let ds = Dataset::generate_aggregate(graphs, 7, &GeneratorConfig::default());
@@ -136,9 +109,6 @@ fn main() {
         link_gb_per_s,
         latency_us,
     };
-    // ~8 buckets per step so the first collectives start early in the
-    // backward pass.
-    let bucket = Some((n_params / 8).max(64));
     println!(
         "pool: {threads} worker(s); model: hidden {hidden}, 3 layers, {n_params} params\n\
          compute step {:.2} ms; calibrated link {:.4} GB/s ({latency_us} us latency)\n",
@@ -146,10 +116,25 @@ fn main() {
         link_gb_per_s
     );
 
-    let run = |name, depth, overlap| {
-        run_mode(
-            name, &ds, &norm, hidden, epochs, batch_size, cost, depth, overlap, bucket,
-        )
+    let base = DdpConfig {
+        world: 2,
+        epochs,
+        batch_size,
+        grad_clip: None, // overlap requires unclipped gradients
+        seed: 11,
+        cost,
+        // ~8 buckets per step so the first collectives start early in the
+        // backward pass.
+        bucket_size: Some((n_params / 8).max(64)),
+        ..Default::default()
+    };
+    let run = |name, prefetch_depth, overlap_comm| {
+        let cfg = DdpConfig {
+            prefetch_depth,
+            overlap_comm,
+            ..base.clone()
+        };
+        run_mode(name, &ds, &norm, hidden, &cfg)
     };
     let results = [
         run("sync", 0, false),
@@ -223,23 +208,17 @@ fn main() {
     std::fs::write(path, json).expect("write BENCH_pipeline.json");
     println!("wrote {path}");
 
-    let mut failed = false;
-    if !bitwise {
-        eprintln!("ERROR: pipeline modes diverged bitwise from the synchronous run");
-        failed = true;
-    }
-    if !peaks_equal {
-        eprintln!("ERROR: MemoryTracker peak changed with the pipeline");
-        failed = true;
-    }
-    if reduction < 0.20 {
-        eprintln!(
-            "ERROR: effective step-time reduction {:.1}% below the 20% floor",
+    let mut passed = gate(
+        bitwise,
+        "pipeline modes diverged bitwise from the synchronous run",
+    );
+    passed &= gate(peaks_equal, "MemoryTracker peak changed with the pipeline");
+    passed &= gate(
+        reduction >= 0.20,
+        &format!(
+            "effective step-time reduction {:.1}% below the 20% floor",
             100.0 * reduction
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+        ),
+    );
+    passed
 }

@@ -6,9 +6,7 @@
 //! map the p50/p99-latency-vs-throughput saturation curve, and writes
 //! everything to `BENCH_serving.json`.
 //!
-//! ```sh
-//! cargo run --release -p matgnn-bench --bin exp_serving -- [--quick|--full]
-//! ```
+//! Run: `cargo run --release -p matgnn-bench -- serving [--quick|--full]`
 //!
 //! Exits non-zero if the tape-free single-graph forward is slower than
 //! the taped one or costs more than its per-atom bound, if the
@@ -22,9 +20,8 @@
 //! the sweep is oversubscribed and the curve shifts left; the JSON
 //! records `threads_available` so readers can tell.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -33,36 +30,11 @@ use matgnn::serve::{BatcherConfig, DynamicBatcher, InferenceEngine};
 use matgnn::telemetry as tel;
 use matgnn::tensor::{pool, Runtime};
 use matgnn::train::AdamState;
+use matgnn_bench::{gate, RunMode};
 
-/// [`System`] with an allocation-event counter (same harness as
-/// `exp_alloc`): `alloc`/`realloc` bump the counters, frees do not — the
-/// zero-steady-state claim is about *new* heap traffic.
-struct CountingAlloc;
+use crate::{ALLOC_BYTES, ALLOC_EVENTS};
 
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates every operation to `System` unchanged.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+pub const TITLE: &str = "Serving: tape-free engine cost, zero-alloc steady state, load sweep";
 
 /// Upper bound on the tape-free single-graph forward, in µs per atom, as
 /// `(quick, full)`. Both executors run one EGNN body, so "frozen vs tape"
@@ -103,23 +75,13 @@ struct Level {
 /// reads the latency quantiles the workers recorded.
 fn run_level(batcher: &DynamicBatcher, graphs: &[MolGraph], offered_rps: f64, n: usize) -> Level {
     tel::reset_metrics();
-    let interval = Duration::from_secs_f64(1.0 / offered_rps);
     let start = Instant::now();
-    let mut tickets = Vec::with_capacity(n);
-    for i in 0..n {
-        let due = start + interval * i as u32;
-        if let Some(sleep) = due.checked_duration_since(Instant::now()) {
-            std::thread::sleep(sleep);
-        }
-        tickets.push(
-            batcher
-                .submit(graphs[i % graphs.len()].clone())
-                .expect("batcher rejected request"),
-        );
-    }
-    for t in tickets {
-        t.wait().expect("request dropped");
-    }
+    submit_paced(
+        batcher,
+        graphs,
+        Duration::from_secs_f64(1.0 / offered_rps),
+        n,
+    );
     let wall = start.elapsed();
 
     let quant = |name: &str, q: f64| tel::histogram_quantile(name, q).unwrap_or(f64::NAN);
@@ -141,18 +103,32 @@ fn run_level(batcher: &DynamicBatcher, graphs: &[MolGraph], offered_rps: f64, n:
     }
 }
 
-#[allow(clippy::too_many_lines)]
-fn main() {
-    let mode = matgnn_bench::RunMode::from_args();
-    matgnn_bench::banner(
-        "Serving: tape-free engine cost, zero-alloc steady state, load sweep",
-        mode,
-    );
+/// Submits `n` requests (cycling through `graphs`) one per `interval`,
+/// open loop, and waits for every reply.
+pub fn submit_paced(batcher: &DynamicBatcher, graphs: &[MolGraph], interval: Duration, n: usize) {
+    let start = Instant::now();
+    let mut tickets = Vec::with_capacity(n);
+    for i in 0..n {
+        let due = start + interval * i as u32;
+        if let Some(sleep) = due.checked_duration_since(Instant::now()) {
+            std::thread::sleep(sleep);
+        }
+        tickets.push(
+            batcher
+                .submit(graphs[i % graphs.len()].clone())
+                .expect("batcher rejected request"),
+        );
+    }
+    for t in tickets {
+        t.wait().expect("request dropped");
+    }
+}
 
+pub fn run(mode: RunMode) -> bool {
     let threads = pool::num_threads();
     let (params, pool_graphs, fwd_iters, sweep_n_per_sec, burst_n) = match mode {
-        matgnn_bench::RunMode::Quick => (10_000, 24, 40, 1.5, 150),
-        matgnn_bench::RunMode::Full => (50_000, 48, 150, 4.0, 600),
+        RunMode::Quick => (10_000, 24, 40, 1.5, 150),
+        RunMode::Full => (50_000, 48, 150, 4.0, 600),
     };
     println!("pool: {threads} worker(s); model: {params} target params\n");
 
@@ -266,8 +242,8 @@ fn main() {
     let speedup = ratios[chunks / 2];
     let us_per_atom = frozen_ns / 1e3 / median.n_nodes() as f64;
     let us_per_atom_bound = match mode {
-        matgnn_bench::RunMode::Quick => FROZEN_US_PER_ATOM_BOUND.0,
-        matgnn_bench::RunMode::Full => FROZEN_US_PER_ATOM_BOUND.1,
+        RunMode::Quick => FROZEN_US_PER_ATOM_BOUND.0,
+        RunMode::Full => FROZEN_US_PER_ATOM_BOUND.1,
     };
     println!(
         "single-graph forward ({} atoms): tape {:.0} ns, frozen {:.0} ns, median ratio {speedup:.2}x; \
@@ -380,40 +356,33 @@ fn main() {
     std::fs::write(path, json).expect("write BENCH_serving.json");
     println!("\nwrote {path}");
 
-    let mut failed = false;
-    if !roundtrip_bitwise {
-        eprintln!("ERROR: MGTC-loaded engine diverges from direct freeze");
-        failed = true;
-    }
-    if !parity_ok {
-        eprintln!("ERROR: {parity_mismatches} frozen outputs differ from the tape's");
-        failed = true;
-    }
-    if speedup < 1.0 {
-        eprintln!(
-            "ERROR: tape-free single-graph forward slower than the taped one ({speedup:.2}x)"
-        );
-        failed = true;
-    }
-    if us_per_atom > us_per_atom_bound {
-        eprintln!(
-            "ERROR: tape-free single-graph forward {us_per_atom:.2} µs/atom over its {us_per_atom_bound} bound"
-        );
-        failed = true;
-    }
-    if steady_allocs != 0 {
-        eprintln!("ERROR: engine hot path allocated {steady_allocs} times at steady state");
-        failed = true;
-    }
-    if !slo_ok {
-        eprintln!("ERROR: p99 {low_p99:.1} ms at lowest load violates the {SLO_P99_MS:.0} ms SLO");
-        failed = true;
-    }
-    if !saturation_ok {
-        eprintln!("ERROR: throughput collapsed past saturation ({saturated:.0} req/s)");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    let mut passed = gate(
+        roundtrip_bitwise,
+        "MGTC-loaded engine diverges from direct freeze",
+    );
+    passed &= gate(
+        parity_ok,
+        &format!("{parity_mismatches} frozen outputs differ from the tape's"),
+    );
+    passed &= gate(
+        speedup >= 1.0,
+        &format!("tape-free single-graph forward slower than the taped one ({speedup:.2}x)"),
+    );
+    passed &= gate(
+        us_per_atom <= us_per_atom_bound,
+        &format!("tape-free single-graph forward {us_per_atom:.2} µs/atom over its {us_per_atom_bound} bound"),
+    );
+    passed &= gate(
+        steady_allocs == 0,
+        &format!("engine hot path allocated {steady_allocs} times at steady state"),
+    );
+    passed &= gate(
+        slo_ok,
+        &format!("p99 {low_p99:.1} ms at lowest load violates the {SLO_P99_MS:.0} ms SLO"),
+    );
+    passed &= gate(
+        saturation_ok,
+        &format!("throughput collapsed past saturation ({saturated:.0} req/s)"),
+    );
+    passed
 }

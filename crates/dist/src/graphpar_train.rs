@@ -17,7 +17,7 @@
 //! arrive already reduced, so the ZeRO path skips the reduce-scatter
 //! and feeds each rank's shard directly; the internal `1/world` mean is
 //! cancelled by pre-scaling, which is exact for power-of-two worlds —
-//! the regime the bitwise gates in `exp_graphpar` cover.
+//! the regime the bitwise gates in `matgnn_bench graphpar` cover.
 
 use std::thread;
 use std::time::Duration;

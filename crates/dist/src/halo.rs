@@ -24,7 +24,7 @@
 //! ascending part order, same per-row element order, the contributor's
 //! own block added at its own position — over bit-identical staged
 //! values. A graph-parallel step therefore produces the same bits at
-//! every world size, which `exp_graphpar` gates on.
+//! every world size, which `matgnn_bench graphpar` gates on.
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -166,7 +166,7 @@ impl FrozenEgnn {
     ///
     /// Takes `&self`: the engine is immutable and can serve concurrent
     /// callers. With warmed recycler buckets, a steady-state call performs
-    /// zero heap allocations (asserted by `exp_serving`).
+    /// zero heap allocations (asserted by `matgnn_bench serving`).
     pub fn predict(&self, batch: &GraphBatch) -> (Tensor, Tensor) {
         let rel0 = batch.edge_vectors().clone();
         self.model.run(&mut NoTape, &self.weights, batch, rel0)

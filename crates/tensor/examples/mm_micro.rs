@@ -8,7 +8,7 @@
 //! cargo run --release -p matgnn-tensor --example mm_micro
 //! ```
 //!
-//! The authoritative gate lives in `exp_kernels`; this is a tuning aid.
+//! The authoritative gate lives in `matgnn_bench kernels`; this is a tuning aid.
 
 use matgnn_tensor::rng::Rng;
 use matgnn_tensor::{simd, Runtime, Tensor};

@@ -54,7 +54,7 @@
 //! one tier, so checkpoints, supervisor rollback and DDP replica
 //! consistency — all within-run, within-tier properties — are unaffected.
 //! Cross-tier parity is asserted (tolerance + gradcheck) in
-//! `tests/simd_parity.rs` and the `exp_kernels` bench.
+//! `tests/simd_parity.rs` and the `matgnn_bench kernels` suite.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
