@@ -4,7 +4,9 @@
 //! Every target runs with `--quick` (default, CI-sized) or `--full` (the
 //! paper-shaped run, several CPU-minutes) and prints both a
 //! human-readable table and machine-readable CSV rows prefixed with
-//! `csv,`.
+//! `csv,`. A paper target's `csv,` rows are deterministic for a seed (the
+//! `paper-smoke` CI job compares them with `results/`); columns read off a
+//! wall clock go on `timing,` rows instead.
 
 #![warn(missing_docs)]
 
@@ -75,6 +77,13 @@ pub fn bench_json_header(mode: RunMode) -> String {
 /// Prints one machine-readable CSV row (prefixed so logs stay greppable).
 pub fn csv_row(fields: &[String]) {
     println!("csv,{}", fields.join(","));
+}
+
+/// Prints one CSV row of wall-clock columns, prefixed `timing,`: they
+/// change run to run, so they stay off the `csv,` rows a paper target's
+/// committed output is compared on.
+pub fn timing_row(fields: &[String]) {
+    println!("timing,{}", fields.join(","));
 }
 
 /// One pass/fail gate of a suite: prints `ERROR: {why}` to stderr when

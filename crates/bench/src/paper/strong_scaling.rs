@@ -9,7 +9,7 @@
 //! Run: `cargo run --release -p matgnn-bench -- strong_scaling [--quick|--full]`
 
 use matgnn::scaling::run_strong_scaling;
-use matgnn_bench::{csv_row, RunMode};
+use matgnn_bench::{csv_row, timing_row, RunMode};
 
 pub const TITLE: &str = "Strong scaling: DDP throughput vs rank count";
 
@@ -23,7 +23,10 @@ pub fn run(mode: RunMode) -> bool {
         "\n{:>6} {:>22} {:>12} {:>24}",
         "ranks", "modeled graphs/s", "efficiency", "measured graphs/s*"
     );
-    csv_row(&["world,modeled_gps,efficiency,measured_gps".to_string()]);
+    // Every column rests on a measured step time, so all of them are
+    // timing rows; the `csv,` rows pin only the world sizes run.
+    csv_row(&["world".to_string()]);
+    timing_row(&["world,modeled_gps,efficiency,measured_gps".to_string()]);
     for p in &points {
         println!(
             "{:>6} {:>22.1} {:>11.0}% {:>24.1}",
@@ -32,7 +35,8 @@ pub fn run(mode: RunMode) -> bool {
             100.0 * p.modeled_efficiency,
             p.measured_graphs_per_s
         );
-        csv_row(&[format!(
+        csv_row(&[p.world.to_string()]);
+        timing_row(&[format!(
             "{},{:.3},{:.4},{:.3}",
             p.world, p.modeled_graphs_per_s, p.modeled_efficiency, p.measured_graphs_per_s
         )]);

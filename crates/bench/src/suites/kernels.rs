@@ -10,8 +10,10 @@
 //!
 //! Exits non-zero if any kernel diverges bitwise across pool sizes,
 //! exceeds the cross-tier parity tolerance, regresses below 0.95× under
-//! the pool (serial vs pooled timed interleaved; each row records whether
-//! the kernel's size engaged the pool at all), or the vector matmul
+//! the pool (serial vs pooled timed interleaved), runs at a size below its
+//! pool threshold (both legs would then time the same serial code; only
+//! `sum_axis0`, serial at every size, and the `train_step` composite are
+//! exempt), or the vector matmul
 //! microkernel misses its per-tier single-thread speedup floor (4× on
 //! AVX-512 hosts, 3× on AVX2-only — the scalar tier auto-vectorizes to
 //! SSE2, capping the AVX2 ceiling near 4×) or leaves `matmul_nt` or
@@ -234,7 +236,7 @@ pub fn run(mode: RunMode) -> bool {
     let tier = simd::active_tier();
     let (reps, nm, nt, sum_rows, map_n, nodes, edges, dim, adam_n, hidden, graphs) = match mode {
         RunMode::Quick => (
-            5, 512, 1024, 2048, 2_000_000, 2_000, 60_000, 128, 1_000_000, 96, 8,
+            5, 512, 1024, 2048, 2_000_000, 2_000, 70_000, 128, 1_000_000, 96, 8,
         ),
         RunMode::Full => (
             5, 768, 2048, 8192, 8_000_000, 5_000, 150_000, 128, 4_000_000, 192, 16,
@@ -357,13 +359,28 @@ pub fn run(mode: RunMode) -> bool {
     // `train_step` is an end-to-end composite of hundreds of small
     // dispatches whose pool behaviour is governed by the per-kernel
     // serial-fallback thresholds, not by this gate (its bitwise and
-    // cross-tier checks above still apply). It is also only meaningful
-    // when the configured pool fits the machine: an oversubscribed pool
-    // (e.g. MATGNN_THREADS=8 on a 1-core container) measures scheduler
+    // cross-tier checks above still apply). `sum_axis0` is serial at
+    // every size (its pooled path lost wherever it engaged), so it has no
+    // pooled leg to floor. Every other row must engage the pool: below its
+    // threshold both legs time the same serial code and the floor reads
+    // host noise. The floor is also only meaningful when the configured
+    // pool fits the machine: an oversubscribed pool (e.g.
+    // MATGNN_THREADS=8 on a 1-core container) measures scheduler
     // overhead, not scaling, so there the floor downgrades to a warning.
     let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
     let oversubscribed = threads > avail;
-    for r in rows.iter().filter(|r| r.name != "train_step") {
+    for r in rows
+        .iter()
+        .filter(|r| !matches!(r.name, "train_step" | "sum_axis0"))
+    {
+        passed &= gate(
+            r.pool_engaged,
+            &format!(
+                "{}: the {} size is below its pool threshold, so both legs ran serial",
+                r.name,
+                mode.label()
+            ),
+        );
         let pooled_speedup = r.pooled_speedup;
         let floor_ok = pooled_speedup >= MIN_POOLED_SPEEDUP;
         if !floor_ok && oversubscribed {
@@ -377,8 +394,8 @@ pub fn run(mode: RunMode) -> bool {
                 floor_ok,
                 &format!(
                     "{} regressed under the pool ({pooled_speedup:.2}x < \
-                     {MIN_POOLED_SPEEDUP}x interleaved; pool engaged: {})",
-                    r.name, r.pool_engaged
+                     {MIN_POOLED_SPEEDUP}x interleaved)",
+                    r.name
                 ),
             );
         }

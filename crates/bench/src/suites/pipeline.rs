@@ -1,8 +1,11 @@
 //! Latency-hiding pipeline benchmark — runs the same 2-rank DDP training
-//! job in four modes ({sync, prefetch, overlap, both}), verifies all four
-//! are **bitwise identical** (epoch losses, final parameters, tracked
-//! memory peaks), measures the effective step time of each, and writes the
-//! results to `BENCH_pipeline.json`.
+//! job in four modes ({sync, prefetch, overlap, both}), verifies every run
+//! is **bitwise identical** to the first `sync` run (epoch losses, final
+//! parameters, tracked memory peaks), measures the effective step time of
+//! each, and writes the results to `BENCH_pipeline.json`. After that first
+//! run, which also warms the process up, `sync` and `both` run in
+//! [`ROUNDS`] rounds, alternating which goes first; the other two modes
+//! run once.
 //!
 //! Run: `MATGNN_THREADS=2 cargo run --release -p matgnn-bench -- pipeline [--quick|--full]`
 //!
@@ -17,9 +20,15 @@
 //! which is exactly the regime where overlap pays. On a single-core
 //! container the ranks are time-sliced, so the measured component is
 //! pessimistic for the threaded modes; the exposed-comm reduction is the
-//! honest signal. Exits non-zero if any mode diverges bitwise, if tracked
-//! peaks differ, or if `both` fails to cut the effective step time by at
-//! least 20% versus `sync`.
+//! honest signal. Exits non-zero if any run diverges bitwise, if tracked
+//! peaks differ, or if the median over rounds of the paired cut
+//! `1 − both/sync` in effective step time is below 20%. One wall-time
+//! sample per mode let a slow spell on one side, or the cold first run
+//! (always `sync`), decide the verdict; pairing within a round and taking
+//! the median leaves it to the typical warm round. On a 2-vCPU host that
+//! typical cut is itself about 20% (overlap hides ~0.5 ms of modeled comm
+//! from a ~2.5 ms step), so there the gate fails about half the quick
+//! runs.
 
 use std::time::Instant;
 
@@ -32,8 +41,16 @@ use matgnn_bench::{gate, param_bits, RunMode};
 pub const TITLE: &str =
     "Latency-hiding pipeline: prefetch + overlapped all-reduce, bitwise-checked";
 
+/// Paired `sync`/`both` rounds behind the step-time gate.
+const ROUNDS: usize = 5;
+
+/// Minimum median paired cut in effective step time, `both` vs `sync`.
+const MIN_CUT: f64 = 0.20;
+
 struct ModeResult {
     name: &'static str,
+    /// The paired round this run belongs to (`sync`/`both` only).
+    round: Option<usize>,
     loss_bits: Vec<u64>,
     param_bits: Vec<u64>,
     peak_total: u64,
@@ -53,6 +70,7 @@ impl ModeResult {
 /// Trains a fresh model under `cfg` and records what the gates compare.
 fn run_mode(
     name: &'static str,
+    round: Option<usize>,
     ds: &Dataset,
     norm: &Normalizer,
     hidden: usize,
@@ -65,6 +83,7 @@ fn run_mode(
     let rank0 = &report.ranks[0];
     ModeResult {
         name,
+        round,
         loss_bits: report.epoch_loss.iter().map(|l| l.to_bits()).collect(),
         param_bits: param_bits(&model),
         peak_total: rank0.peak_total,
@@ -128,35 +147,47 @@ pub fn run(mode: RunMode) -> bool {
         bucket_size: Some((n_params / 8).max(64)),
         ..Default::default()
     };
-    let run = |name, prefetch_depth, overlap_comm| {
+    let run = |name, round, prefetch_depth, overlap_comm| {
         let cfg = DdpConfig {
             prefetch_depth,
             overlap_comm,
             ..base.clone()
         };
-        run_mode(name, &ds, &norm, hidden, &cfg)
+        run_mode(name, round, &ds, &norm, hidden, &cfg)
     };
-    let results = [
-        run("sync", 0, false),
-        run("prefetch", 2, false),
-        run("overlap", 0, true),
-        run("both", 2, true),
-    ];
+    // The first run pays the process's lazy set-up (worker threads,
+    // recycler buckets, first-touch pages), so it is the bitwise reference
+    // and sits outside the rounds. Within the rounds `sync` and `both`
+    // alternate which goes first, so a slow spell of the host lands on
+    // either side equally often.
+    let mut results = vec![run("sync", None, 0, false)];
+    for round in 0..ROUNDS {
+        let sync = || run("sync", Some(round), 0, false);
+        let both = || run("both", Some(round), 2, true);
+        if round % 2 == 0 {
+            results.extend([sync(), both()]);
+        } else {
+            results.extend([both(), sync()]);
+        }
+    }
+    results.push(run("prefetch", None, 2, false));
+    results.push(run("overlap", None, 0, true));
 
     let sync = &results[0];
     let mut bitwise = true;
     let mut peaks_equal = true;
     println!(
-        "{:<10} {:>12} {:>14} {:>14} {:>14}  bitwise",
-        "mode", "wall/step", "modeled comm", "exposed comm", "step (eff.)"
+        "{:<10} {:>5} {:>12} {:>14} {:>14} {:>14}  bitwise",
+        "mode", "round", "wall/step", "modeled comm", "exposed comm", "step (eff.)"
     );
     for r in &results {
         let same = r.loss_bits == sync.loss_bits && r.param_bits == sync.param_bits;
         bitwise &= same;
         peaks_equal &= r.peak_total == sync.peak_total;
         println!(
-            "{:<10} {:>9.2} ms {:>11.2} ms {:>11.2} ms {:>11.2} ms  {}",
+            "{:<10} {:>5} {:>9.2} ms {:>11.2} ms {:>11.2} ms {:>11.2} ms  {}",
             r.name,
+            r.round.map_or("-".to_string(), |k| k.to_string()),
             r.wall_per_step * 1e3,
             r.modeled_per_step * 1e3,
             r.exposed_per_step * 1e3,
@@ -165,12 +196,27 @@ pub fn run(mode: RunMode) -> bool {
         );
     }
 
-    let both = &results[3];
-    let overlap = &results[2];
-    let reduction = 1.0 - both.step_seconds() / sync.step_seconds();
+    // Per-round paired cut `1 − both/sync`, gated on its median.
+    let step_of = |name: &str, round: usize| {
+        results
+            .iter()
+            .find(|r| r.name == name && r.round == Some(round))
+            .expect("one run per mode and round")
+            .step_seconds()
+    };
+    let cuts: Vec<f64> = (0..ROUNDS)
+        .map(|k| 1.0 - step_of("both", k) / step_of("sync", k))
+        .collect();
+    let mut sorted = cuts.clone();
+    sorted.sort_by(f64::total_cmp);
+    let reduction = sorted[ROUNDS / 2];
+    let overlap = results.last().expect("overlap runs last");
     let hidden_frac = 1.0 - overlap.exposed_per_step / overlap.modeled_per_step.max(1e-12);
+    let cuts_pct: Vec<String> = cuts.iter().map(|c| format!("{:.1}%", 100.0 * c)).collect();
     println!(
-        "\nboth vs sync: {:.1}% effective step-time reduction; overlap hid {:.1}% of modeled comm",
+        "\nboth vs sync: per-round effective step-time cuts [{}], median {:.1}%; \
+         overlap hid {:.1}% of modeled comm",
+        cuts_pct.join(", "),
         100.0 * reduction,
         100.0 * hidden_frac
     );
@@ -183,10 +229,11 @@ pub fn run(mode: RunMode) -> bool {
     let mut rows = String::new();
     for r in &results {
         rows.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"wall_per_step_ms\": {:.3}, \
+            "    {{\"mode\": \"{}\", \"round\": {}, \"wall_per_step_ms\": {:.3}, \
              \"modeled_comm_per_step_ms\": {:.3}, \"exposed_comm_per_step_ms\": {:.3}, \
              \"step_ms\": {:.3}, \"peak_total\": {}}},\n",
             r.name,
+            r.round.map_or("null".to_string(), |k| k.to_string()),
             r.wall_per_step * 1e3,
             r.modeled_per_step * 1e3,
             r.exposed_per_step * 1e3,
@@ -201,9 +248,14 @@ pub fn run(mode: RunMode) -> bool {
          \"world\": 2,\n  \"n_params\": {n_params},\n  \
          \"link_gb_per_s\": {link_gb_per_s:.6},\n  \"latency_us\": {latency_us},\n  \
          \"modes\": [\n{rows}\n  ],\n  \
+         \"round_cuts\": [{}],\n  \
          \"step_time_reduction\": {reduction:.4},\n  \
          \"comm_hidden_fraction\": {hidden_frac:.4},\n  \
          \"bitwise_equal\": {bitwise},\n  \"tracked_peak_equal\": {peaks_equal}\n}}\n",
+        cuts.iter()
+            .map(|c| format!("{c:.4}"))
+            .collect::<Vec<_>>()
+            .join(", "),
     );
     std::fs::write(path, json).expect("write BENCH_pipeline.json");
     println!("wrote {path}");
@@ -214,10 +266,11 @@ pub fn run(mode: RunMode) -> bool {
     );
     passed &= gate(peaks_equal, "MemoryTracker peak changed with the pipeline");
     passed &= gate(
-        reduction >= 0.20,
+        reduction >= MIN_CUT,
         &format!(
-            "effective step-time reduction {:.1}% below the 20% floor",
-            100.0 * reduction
+            "median paired effective step-time cut {:.1}% below the {:.0}% floor",
+            100.0 * reduction,
+            100.0 * MIN_CUT
         ),
     );
     passed

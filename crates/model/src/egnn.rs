@@ -261,18 +261,55 @@ impl Egnn {
     /// the per-graph energy reduction is left to the caller (which must
     /// sum node energies in global node order to preserve parity).
     /// `pvars` must bind the heads segment's parameters.
-    pub fn head_forward_nodes(
+    pub fn head_forward_nodes<C: Exec>(
         &self,
-        tape: &mut Tape,
-        pvars: &[Var],
+        cx: &mut C,
+        pvars: &[C::V],
         batch: &GraphBatch,
-        h: Var,
-        d: Var,
-        rel0: Var,
-    ) -> (Var, Var) {
+        h: &C::V,
+        d: &C::V,
+        rel0: &C::V,
+    ) -> (C::V, C::V) {
         let (offset, _) = self.segment_ranges[self.n_segments() - 1];
-        let geometry = self.edge_geometry(tape, batch, &d, &rel0);
-        self.heads(tape, pvars, offset, batch, &h, geometry)
+        let geometry = self.edge_geometry(cx, batch, d, rel0);
+        self.heads(cx, pvars, offset, batch, h, geometry)
+    }
+
+    /// Runs segment `seg` on any executor (see [`GnnModel`] for the
+    /// segment contract; EGNN's state is `[h, d, rel0]`, the last segment
+    /// returns `[energy, forces]`). `pvars` binds exactly the parameters
+    /// of [`segment_param_range`](GnnModel::segment_param_range)`(seg)`.
+    ///
+    /// `state` is borrowed and its handles cloned, so without a tape no op
+    /// overwrites a boundary in place: the caller may keep and reuse it.
+    pub fn segment<C: Exec>(
+        &self,
+        cx: &mut C,
+        seg: usize,
+        pvars: &[C::V],
+        batch: &GraphBatch,
+        state: &[C::V],
+    ) -> Vec<C::V> {
+        let (offset, _) = self.segment_ranges[seg];
+        let last = self.n_segments() - 1;
+        if seg == 0 {
+            // The base edge vectors travel with the state, so a caller can
+            // substitute a gradient-requiring binding.
+            assert!(state.is_empty(), "embed segment takes no state");
+            let [h, d] = self.embed(cx, pvars, offset, batch);
+            vec![h, d, cx.constant(batch.edge_vectors().clone())]
+        } else if seg < last {
+            let (h, d, rel0) = (state[0].clone(), state[1].clone(), &state[2]);
+            let geometry = self.edge_geometry(cx, batch, &d, rel0);
+            let (h2, d2) = self.layer_forward(seg - 1, cx, pvars, offset, batch, h, d, geometry);
+            vec![h2, d2, rel0.clone()]
+        } else {
+            let (node_e, forces) =
+                self.head_forward_nodes(cx, pvars, batch, &state[0], &state[1], &state[2]);
+            // Energy is extensive: sum node contributions per graph.
+            let energy = cx.scatter_add_rows(&node_e, batch.node_graph(), batch.n_graphs());
+            vec![energy, forces]
+        }
     }
 
     /// The whole forward on any executor — `(energies [n_graphs × 1],
@@ -490,27 +527,7 @@ impl GnnModel for Egnn {
         batch: &GraphBatch,
         state: &[Var],
     ) -> Vec<Var> {
-        let (offset, _) = self.segment_ranges[seg];
-        let last = self.n_segments() - 1;
-        if seg == 0 {
-            // The base edge vectors travel with the state, so a caller can
-            // substitute a gradient-requiring binding.
-            assert!(state.is_empty(), "embed segment takes no state");
-            let [h, d] = self.embed(tape, pvars, offset, batch);
-            vec![h, d, tape.constant(batch.edge_vectors().clone())]
-        } else if seg < last {
-            let (h, d, rel0) = (state[0], state[1], state[2]);
-            let geometry = self.edge_geometry(tape, batch, &d, &rel0);
-            let (h2, d2) = self.layer_forward(seg - 1, tape, pvars, offset, batch, h, d, geometry);
-            vec![h2, d2, rel0]
-        } else {
-            let (node_e, forces) =
-                self.head_forward_nodes(tape, pvars, batch, state[0], state[1], state[2]);
-            // Energy is extensive: sum node contributions per graph.
-            let energy =
-                tape.scatter_add_rows(node_e, Arc::clone(batch.node_graph()), batch.n_graphs());
-            vec![energy, forces]
-        }
+        self.segment(tape, seg, pvars, batch, state)
     }
 
     /// The whole forward on the tape: the body the frozen engine runs

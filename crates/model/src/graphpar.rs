@@ -11,9 +11,10 @@
 //!
 //! # Why the trajectory is invariant to the rank count
 //!
-//! Every tape in this module is **per part**: its graph, leaf bindings,
-//! and seeds depend only on the plan, never on which rank runs it. The
-//! only cross-part arithmetic is (a) ghost-value copies (exact), (b)
+//! Every segment runs **per part**: forward without a tape, backward on
+//! one tape per part and segment whose graph, leaf bindings and seeds
+//! depend only on the plan, never on which rank runs it. The only
+//! cross-part arithmetic is (a) ghost-value copies (exact), (b)
 //! ghost-adjoint accumulation, (c) the energy reduction, and (d) the
 //! parameter-gradient reduction — and all of (b)–(d) are performed in
 //! **canonical ascending part order** on every rank, with the same
@@ -24,7 +25,7 @@
 //! restricted to its owned sources (see DESIGN.md §7.9).
 
 use matgnn_graph::{GraphBatch, PartitionPlan};
-use matgnn_tensor::{Tape, Tensor, Var};
+use matgnn_tensor::{Exec, NoTape, Tape, Tensor, Var};
 
 use crate::{Egnn, GnnModel};
 
@@ -310,12 +311,13 @@ pub fn local_batches(plan: &PartitionPlan, p0: usize, p1: usize) -> Vec<GraphBat
 /// One graph-parallel forward + backward over this rank's parts.
 ///
 /// `batches` must be [`local_batches`]`(plan, p0, p1)` for the
-/// channel's part range. Forward runs embed + every layer per part with
-/// a ghost refresh between layers; backward recomputes each segment on
-/// a fresh tape (activation-checkpointing style), seeds it with the
-/// downstream adjoints, and drains parameter gradients through the
-/// tape's leaf-sink path while ghost adjoints flow back to their owners
-/// through the channel.
+/// channel's part range. Forward runs embed, every layer and the heads per
+/// part without a tape ([`NoTape`]), refreshing the ghost halo after each
+/// layer, and keeps only the segment boundaries. Backward records each
+/// segment again on a tape per part (activation-checkpointing style; see
+/// [`backward_part`]), seeds it with the downstream adjoints and drains
+/// its parameter gradients through the tape's leaf-sink path, while ghost
+/// adjoints flow back to their owners through the channel.
 ///
 /// # Panics
 ///
@@ -333,104 +335,47 @@ pub fn graphpar_step(
     let n = plan.n_nodes();
     let hidden = model.config().hidden_dim;
     let n_seg = model.n_segments();
-    let n_layers = n_seg - 2;
-    let update_coords = model.config().update_coords;
     let params = model.params();
+    let weights: Vec<Tensor> = params.iter().map(|e| e.tensor.clone()).collect();
     let n_owned: Vec<usize> = (p0..p1).map(|p| plan.part(p).n_owned()).collect();
     let mut halo_bytes: u64 = 0;
 
     // ---- Forward ----------------------------------------------------
-    // boundaries[s][i] = (h, d) entering segment s+1 for local part i,
-    // ghost rows refreshed. Embed needs no exchange: ghost h is the
-    // same per-row MLP of the same feature rows the owner computes, and
-    // d is identically zero.
-    let mut boundaries: Vec<Vec<(Tensor, Tensor)>> = Vec::with_capacity(n_layers + 1);
-    let mut state: Vec<(Tensor, Tensor)> = Vec::with_capacity(k);
-    for (i, batch) in batches.iter().enumerate() {
-        let _ = i;
-        let mut tape = Tape::new();
-        let pvars = bind_frozen_range(model, &mut tape, 0);
-        let out = model.segment_forward(&mut tape, 0, &pvars, batch, &[]);
-        state.push((tape.value(out[0]).clone(), tape.value(out[1]).clone()));
-    }
-    boundaries.push(state);
-
-    for li in 0..n_layers {
-        let seg = li + 1;
-        let prev = &boundaries[li];
-        let mut next: Vec<(Tensor, Tensor)> = Vec::with_capacity(k);
-        for (i, batch) in batches.iter().enumerate() {
-            let mut tape = Tape::new();
-            let pvars = bind_frozen_range(model, &mut tape, seg);
-            let sv = [
-                tape.constant(prev[i].0.clone()),
-                tape.constant(prev[i].1.clone()),
-                tape.constant(batch.edge_vectors().clone()),
-            ];
-            let out = model.segment_forward(&mut tape, seg, &pvars, batch, &sv);
-            next.push((tape.value(out[0]).clone(), tape.value(out[1]).clone()));
+    // inputs[s][i] = the state entering segment s for local part i
+    // (`[h, d, rel0]`, ghost rows refreshed); the heads' outputs
+    // `[node_e, forces]` come last. Embed needs no exchange: ghost h is
+    // the same per-row MLP of the same feature rows the owner computes,
+    // and d is identically zero.
+    let mut inputs: Vec<Vec<Vec<Tensor>>> = vec![vec![Vec::new(); k]];
+    for seg in 0..n_seg {
+        let (start, end) = model.segment_param_range(seg);
+        let mut out: Vec<Vec<Tensor>> = batches
+            .iter()
+            .zip(&inputs[seg])
+            .map(|(batch, state)| {
+                part_segment(model, &mut NoTape, seg, &weights[start..end], batch, state)
+            })
+            .collect();
+        if seg > 0 && seg < n_seg - 1 {
+            // A part has none of a ghost's edges, so the layer leaves its
+            // ghost rows stale: overwrite them with the owners' rows.
+            halo_bytes += refresh_halo(plan, channel, &mut out, &n_owned, 0, hidden)?;
+            if model.config().update_coords {
+                halo_bytes += refresh_halo(plan, channel, &mut out, &n_owned, 1, 3)?;
+            }
         }
-        // Refresh halos: ghost rows of the layer output are stale (a
-        // part has none of a ghost's edges), so overwrite them with the
-        // owners' freshly computed rows.
-        let owned_h: Vec<Tensor> = next
+        inputs.push(out);
+    }
+    let heads = inputs.pop().expect("heads outputs");
+    let owned_rows = |j: usize| -> Vec<Tensor> {
+        heads
             .iter()
             .zip(&n_owned)
-            .map(|((h, _), &no)| rows_of(h, 0, no))
-            .collect();
-        let ghost_h = channel.exchange_ghosts(plan, &owned_h, hidden)?;
-        halo_bytes += ghost_bytes(&ghost_h);
-        let stitched: Vec<(Tensor, Tensor)> = if update_coords {
-            let owned_d: Vec<Tensor> = next
-                .iter()
-                .zip(&n_owned)
-                .map(|((_, d), &no)| rows_of(d, 0, no))
-                .collect();
-            let ghost_d = channel.exchange_ghosts(plan, &owned_d, 3)?;
-            halo_bytes += ghost_bytes(&ghost_d);
-            owned_h
-                .iter()
-                .zip(&ghost_h)
-                .zip(owned_d.iter().zip(&ghost_d))
-                .map(|((oh, gh), (od, gd))| (stitch(oh, gh), stitch(od, gd)))
-                .collect()
-        } else {
-            owned_h
-                .iter()
-                .zip(&ghost_h)
-                .zip(&boundaries[li])
-                .map(|((oh, gh), (_, d))| (stitch(oh, gh), d.clone()))
-                .collect()
-        };
-        boundaries.push(stitched);
-    }
-
-    // ---- Heads ------------------------------------------------------
-    let last = &boundaries[n_layers];
-    let mut node_e_local: Vec<Tensor> = Vec::with_capacity(k);
-    let mut force_local: Vec<Tensor> = Vec::with_capacity(k);
-    for (i, batch) in batches.iter().enumerate() {
-        let mut tape = Tape::new();
-        let pvars = bind_frozen_range(model, &mut tape, n_seg - 1);
-        let h = tape.constant(last[i].0.clone());
-        let d = tape.constant(last[i].1.clone());
-        let rel0 = tape.constant(batch.edge_vectors().clone());
-        let (node_e, forces) = model.head_forward_nodes(&mut tape, &pvars, batch, h, d, rel0);
-        node_e_local.push(tape.value(node_e).clone());
-        force_local.push(tape.value(forces).clone());
-    }
-    let owned_e: Vec<Tensor> = node_e_local
-        .iter()
-        .zip(&n_owned)
-        .map(|(t, &no)| rows_of(t, 0, no))
-        .collect();
-    let owned_f: Vec<Tensor> = force_local
-        .iter()
-        .zip(&n_owned)
-        .map(|(t, &no)| rows_of(t, 0, no))
-        .collect();
-    let full_e = channel.gather_rows(plan, &owned_e, 1)?;
-    let full_f = channel.gather_rows(plan, &owned_f, 3)?;
+            .map(|(o, &no)| rows_of(&o[j], 0, no))
+            .collect()
+    };
+    let full_e = channel.gather_rows(plan, &owned_rows(0), 1)?;
+    let full_f = channel.gather_rows(plan, &owned_rows(1), 3)?;
     // Reduce node energies with the same scatter kernel — and therefore
     // the same global-node-order accumulation — the single-tape model
     // uses for its per-graph energy sum.
@@ -443,161 +388,51 @@ pub fn graphpar_step(
     let loss = loss_cfg.energy_weight * de * de + loss_cfg.force_weight * full_f.norm_sq() / n3;
     let g_e = 2.0 * loss_cfg.energy_weight * de;
     let g_f = 2.0 * loss_cfg.force_weight / n3;
-
-    // ---- Backward ---------------------------------------------------
-    let n_params = params.len();
-    let offsets: Vec<usize> = {
-        let mut o = Vec::with_capacity(n_params + 1);
-        let mut acc = 0;
-        o.push(0);
-        for e in params.iter() {
-            acc += e.tensor.numel();
-            o.push(acc);
-        }
-        o
-    };
-    let flat_len = offsets[n_params];
-    let mut part_grads: Vec<Vec<f32>> = (0..k).map(|_| vec![0.0f32; flat_len]).collect();
-
-    // Heads segment.
-    let (hstart, hend) = model.segment_param_range(n_seg - 1);
-    let mut own_h: Vec<Tensor> = Vec::with_capacity(k);
-    let mut ghost_h: Vec<Tensor> = Vec::with_capacity(k);
-    let mut own_d: Vec<Tensor> = Vec::with_capacity(k);
-    let mut ghost_d: Vec<Tensor> = Vec::with_capacity(k);
-    for (i, batch) in batches.iter().enumerate() {
-        let part = plan.part(p0 + i);
-        let (ps, _) = part.owned_range();
-        let no = n_owned[i];
-        let n_local = part.n_local();
-        let mut tape = Tape::new();
-        let pvars = params.bind_range(&mut tape, hstart, hend);
-        let h = tape.param(last[i].0.clone());
-        let d = tape.param(last[i].1.clone());
-        let rel0 = tape.constant(batch.edge_vectors().clone());
-        let (node_e, forces) = model.head_forward_nodes(&mut tape, &pvars, batch, h, d, rel0);
-        // Seeds: owned rows carry the loss adjoint, ghost rows zero
-        // (their real rows are differentiated by their owner part).
-        let mut seed_e = vec![0.0f32; n_local];
-        seed_e[..no].fill(g_e);
-        let mut seed_f = vec![0.0f32; n_local * 3];
-        for r in 0..no {
-            for c in 0..3 {
-                seed_f[r * 3 + c] = g_f * full_f.get(ps + r, c);
-            }
-        }
-        let seeds = [
-            (node_e, tensor_rows(seed_e, n_local, 1)),
-            (forces, tensor_rows(seed_f, n_local, 3)),
-        ];
-        let mut leaves: Vec<Var> = pvars.clone();
-        leaves.push(h);
-        leaves.push(d);
-        let np = pvars.len();
-        let mut hg: Option<Tensor> = None;
-        let mut dg: Option<Tensor> = None;
-        {
-            let flat = &mut part_grads[i];
-            let mut sink = |j: usize, g: Tensor| {
-                if j < np {
-                    flat[offsets[hstart + j]..offsets[hstart + j + 1]].copy_from_slice(g.data());
-                } else if j == np {
-                    hg = Some(g);
-                } else {
-                    dg = Some(g);
+    // Owned rows carry the loss adjoint, ghost rows zero (their real rows
+    // are differentiated by their owner part).
+    let mut seeds: Vec<Vec<Tensor>> = (0..k)
+        .map(|i| {
+            let n_local = plan.part(p0 + i).n_local();
+            let (ps, _) = plan.part(p0 + i).owned_range();
+            let mut seed_e = vec![0.0f32; n_local];
+            seed_e[..n_owned[i]].fill(g_e);
+            let mut seed_f = vec![0.0f32; n_local * 3];
+            for (r, row) in seed_f.chunks_exact_mut(3).take(n_owned[i]).enumerate() {
+                for (c, x) in row.iter_mut().enumerate() {
+                    *x = g_f * full_f.get(ps + r, c);
                 }
-            };
-            let _ = tape.backward_seeded_with_leaf_sink(&seeds, &leaves, &mut sink);
-        }
-        let hg = hg.expect("h leaf emitted");
-        let dg = dg.expect("d leaf emitted");
-        own_h.push(rows_of(&hg, 0, no));
-        ghost_h.push(rows_of(&hg, no, n_local));
-        own_d.push(rows_of(&dg, 0, no));
-        ghost_d.push(rows_of(&dg, no, n_local));
-    }
-    let mut h_seed = channel.accumulate_adjoints(plan, &own_h, &ghost_h, hidden)?;
-    let mut d_seed = channel.accumulate_adjoints(plan, &own_d, &ghost_d, 3)?;
-
-    // Layer segments, deepest first.
-    for li in (0..n_layers).rev() {
-        let seg = li + 1;
-        let (sstart, send) = model.segment_param_range(seg);
-        let prev = &boundaries[li];
-        let mut own_h2: Vec<Tensor> = Vec::with_capacity(k);
-        let mut ghost_h2: Vec<Tensor> = Vec::with_capacity(k);
-        let mut own_d2: Vec<Tensor> = Vec::with_capacity(k);
-        let mut ghost_d2: Vec<Tensor> = Vec::with_capacity(k);
-        for (i, batch) in batches.iter().enumerate() {
-            let part = plan.part(p0 + i);
-            let no = n_owned[i];
-            let n_local = part.n_local();
-            let mut tape = Tape::new();
-            let pvars = params.bind_range(&mut tape, sstart, send);
-            let h = tape.param(prev[i].0.clone());
-            let d = tape.param(prev[i].1.clone());
-            let rel0 = tape.constant(batch.edge_vectors().clone());
-            let out = model.segment_forward(&mut tape, seg, &pvars, batch, &[h, d, rel0]);
-            let seeds = [
-                (
-                    out[0],
-                    stitch(&h_seed[i], &Tensor::zeros((n_local - no, hidden))),
-                ),
-                (
-                    out[1],
-                    stitch(&d_seed[i], &Tensor::zeros((n_local - no, 3))),
-                ),
-            ];
-            let mut leaves: Vec<Var> = pvars.clone();
-            leaves.push(h);
-            leaves.push(d);
-            let np = pvars.len();
-            let mut hg: Option<Tensor> = None;
-            let mut dg: Option<Tensor> = None;
-            {
-                let flat = &mut part_grads[i];
-                let mut sink = |j: usize, g: Tensor| {
-                    if j < np {
-                        flat[offsets[sstart + j]..offsets[sstart + j + 1]]
-                            .copy_from_slice(g.data());
-                    } else if j == np {
-                        hg = Some(g);
-                    } else {
-                        dg = Some(g);
-                    }
-                };
-                let _ = tape.backward_seeded_with_leaf_sink(&seeds, &leaves, &mut sink);
             }
-            let hg = hg.expect("h leaf emitted");
-            let dg = dg.expect("d leaf emitted");
-            own_h2.push(rows_of(&hg, 0, no));
-            ghost_h2.push(rows_of(&hg, no, n_local));
-            own_d2.push(rows_of(&dg, 0, no));
-            ghost_d2.push(rows_of(&dg, no, n_local));
-        }
-        h_seed = channel.accumulate_adjoints(plan, &own_h2, &ghost_h2, hidden)?;
-        d_seed = channel.accumulate_adjoints(plan, &own_d2, &ghost_d2, 3)?;
-    }
+            vec![
+                tensor_rows(seed_e, n_local, 1),
+                tensor_rows(seed_f, n_local, 3),
+            ]
+        })
+        .collect();
 
-    // Embed segment: seed h only (the zero displacement entering layer
-    // 0 is a constant, so its adjoint has nowhere to flow).
-    let (estart, eend) = model.segment_param_range(0);
-    for (i, batch) in batches.iter().enumerate() {
-        let part = plan.part(p0 + i);
-        let no = n_owned[i];
-        let n_local = part.n_local();
-        let mut tape = Tape::new();
-        let pvars = params.bind_range(&mut tape, estart, eend);
-        let out = model.segment_forward(&mut tape, 0, &pvars, batch, &[]);
-        let seeds = [(
-            out[0],
-            stitch(&h_seed[i], &Tensor::zeros((n_local - no, hidden))),
-        )];
-        let flat = &mut part_grads[i];
-        let mut sink = |j: usize, g: Tensor| {
-            flat[offsets[estart + j]..offsets[estart + j + 1]].copy_from_slice(g.data());
+    // ---- Backward: heads, then layers deepest first, then embed -------
+    let mut offsets = vec![0];
+    for e in params.iter() {
+        offsets.push(offsets[offsets.len() - 1] + e.tensor.numel());
+    }
+    let flat_len = offsets[params.len()];
+    let mut part_grads: Vec<Vec<f32>> = (0..k).map(|_| vec![0.0f32; flat_len]).collect();
+    for seg in (0..n_seg).rev() {
+        let adjoints: Vec<Vec<Tensor>> = batches
+            .iter()
+            .zip(&inputs[seg])
+            .zip(seeds)
+            .zip(&mut part_grads)
+            .map(|(((batch, state), seed), flat)| {
+                backward_part(model, seg, batch, state, seed, flat, &offsets)
+            })
+            .collect();
+        seeds = if seg > 0 {
+            let h = route_adjoints(plan, channel, &adjoints, &n_owned, 0, hidden)?;
+            let d = route_adjoints(plan, channel, &adjoints, &n_owned, 1, 3)?;
+            h.into_iter().zip(d).map(|(h, d)| vec![h, d]).collect()
+        } else {
+            Vec::new()
         };
-        let _ = tape.backward_seeded_with_leaf_sink(&seeds, &pvars, &mut sink);
     }
 
     // Canonical cross-part parameter reduction: ascending part order,
@@ -629,16 +464,117 @@ pub fn graphpar_step(
     })
 }
 
-fn ghost_bytes(blocks: &[Tensor]) -> u64 {
-    blocks.iter().map(|t| t.bytes() as u64).sum()
+/// Segment `seg` on a partition-local batch: [`Egnn::segment`], except
+/// that the heads return per-node energies (the caller reduces them in
+/// global node order) — `[node_e, forces]`.
+fn part_segment<C: Exec>(
+    model: &Egnn,
+    cx: &mut C,
+    seg: usize,
+    pvars: &[C::V],
+    batch: &GraphBatch,
+    state: &[C::V],
+) -> Vec<C::V> {
+    if seg + 1 < model.n_segments() {
+        return model.segment(cx, seg, pvars, batch, state);
+    }
+    let (node_e, forces) =
+        model.head_forward_nodes(cx, pvars, batch, &state[0], &state[1], &state[2]);
+    vec![node_e, forces]
 }
 
-/// Binds segment `seg`'s parameters as constants (forward-only tapes).
-fn bind_frozen_range(model: &Egnn, tape: &mut Tape, seg: usize) -> Vec<Var> {
+/// Differentiates segment `seg` of one part: records it on a tape from its
+/// input boundary `state` (`h` and `d` as leaves, the edge vectors as a
+/// constant), seeds its outputs with `seeds`, writes its parameter
+/// gradients into the part's flat vector at `offsets`, and returns the
+/// adjoints of `h` and `d` (none for embed, which has no input state).
+fn backward_part(
+    model: &Egnn,
+    seg: usize,
+    batch: &GraphBatch,
+    state: &[Tensor],
+    seeds: Vec<Tensor>,
+    flat: &mut [f32],
+    offsets: &[usize],
+) -> Vec<Tensor> {
     let (start, end) = model.segment_param_range(seg);
-    (start..end)
-        .map(|i| tape.constant(model.params().tensor(i).clone()))
+    let mut tape = Tape::new();
+    let mut leaves = model.params().bind_range(&mut tape, start, end);
+    let inputs: Vec<Var> = state
+        .iter()
+        .enumerate()
+        .map(|(j, t)| match j {
+            0 | 1 => tape.param(t.clone()),
+            _ => tape.constant(t.clone()),
+        })
+        .collect();
+    let out = part_segment(model, &mut tape, seg, &leaves, batch, &inputs);
+    let n_adj = inputs.len().min(2);
+    leaves.extend_from_slice(&inputs[..n_adj]);
+    // Embed's `d` is a constant zero: its seed has nowhere to flow.
+    let seeds: Vec<(Var, Tensor)> = out.into_iter().zip(seeds).collect();
+    let np = end - start;
+    let mut adjoints: Vec<Option<Tensor>> = vec![None; n_adj];
+    let mut sink = |j: usize, g: Tensor| {
+        if j < np {
+            flat[offsets[start + j]..offsets[start + j + 1]].copy_from_slice(g.data());
+        } else {
+            adjoints[j - np] = Some(g);
+        }
+    };
+    let _ = tape.backward_seeded_with_leaf_sink(&seeds, &leaves, &mut sink);
+    adjoints
+        .into_iter()
+        .map(|g| g.expect("every leaf is emitted"))
         .collect()
+}
+
+/// Overwrites the ghost rows of state column `j` (`cols` wide) in every
+/// local part with the owners' rows, through the channel. Returns the
+/// payload bytes moved.
+fn refresh_halo(
+    plan: &PartitionPlan,
+    channel: &mut dyn HaloChannel,
+    states: &mut [Vec<Tensor>],
+    n_owned: &[usize],
+    j: usize,
+    cols: usize,
+) -> Result<u64, HaloError> {
+    let owned: Vec<Tensor> = states
+        .iter()
+        .zip(n_owned)
+        .map(|(s, &no)| rows_of(&s[j], 0, no))
+        .collect();
+    let ghosts = channel.exchange_ghosts(plan, &owned, cols)?;
+    for ((s, o), g) in states.iter_mut().zip(&owned).zip(&ghosts) {
+        s[j] = stitch(o, g);
+    }
+    Ok(ghosts.iter().map(|t| t.bytes() as u64).sum())
+}
+
+/// Routes input adjoint `j` (`cols` wide) of every local part to the
+/// owners of its rows, through the channel. Returns each part's seed for
+/// the segment below: the accumulated gradient of its owned rows, then
+/// zero ghost rows.
+fn route_adjoints(
+    plan: &PartitionPlan,
+    channel: &mut dyn HaloChannel,
+    adjoints: &[Vec<Tensor>],
+    n_owned: &[usize],
+    j: usize,
+    cols: usize,
+) -> Result<Vec<Tensor>, HaloError> {
+    let (own, ghost): (Vec<Tensor>, Vec<Tensor>) = adjoints
+        .iter()
+        .zip(n_owned)
+        .map(|(a, &no)| (rows_of(&a[j], 0, no), rows_of(&a[j], no, a[j].rows())))
+        .unzip();
+    let acc = channel.accumulate_adjoints(plan, &own, &ghost, cols)?;
+    Ok(acc
+        .iter()
+        .zip(&ghost)
+        .map(|(o, g)| stitch(o, &Tensor::zeros((g.rows(), cols))))
+        .collect())
 }
 
 #[cfg(test)]
@@ -732,8 +668,24 @@ mod tests {
 
     #[test]
     fn grads_match_single_tape_reference() {
+        let base = EgnnConfig::new(12, 2).with_seed(6);
+        // The default, then the configs whose tape-free forward takes
+        // other in-place branches: the gate's `mul_col`, the norm and the
+        // residual; and a `d` passed unchanged across every boundary.
+        for config in [
+            base,
+            base.with_edge_gate(true)
+                .with_layer_norm(true)
+                .with_rbf(6)
+                .with_residual(true),
+            base.with_update_coords(false),
+        ] {
+            grads_match_single_tape_reference_for(Egnn::new(config));
+        }
+    }
+
+    fn grads_match_single_tape_reference_for(model: Egnn) {
         let s = slab_structure(24, 25);
-        let model = Egnn::new(EgnnConfig::new(12, 2).with_seed(6));
         let plan = PartitionPlan::build(&s, 2.5, 3);
         let cfg = GraphParLoss::default();
         let out = run_graphpar(&model, &plan);
@@ -767,8 +719,9 @@ mod tests {
             let tol = 1e-4 * (1.0 + want.max_abs());
             assert!(
                 out.grads[i].allclose(&want, tol),
-                "param {i} ({}) diverged",
-                model.params().entry(i).name
+                "param {i} ({}) diverged with {}",
+                model.params().entry(i).name,
+                model.describe()
             );
         }
     }

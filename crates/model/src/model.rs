@@ -1,10 +1,13 @@
 //! The [`GnnModel`] trait: [`Egnn`](crate::Egnn)'s tape forward as a
 //! sequence of **segments** (embed, one per message-passing layer, heads).
 //!
-//! Vanilla execution chains the segments on one tape; activation-
-//! checkpointed execution (in `matgnn-train`) runs each segment on its own
-//! tape and re-materializes during backward — which is why the segment
-//! boundaries are part of the model's interface.
+//! Vanilla execution chains the segments on one tape. Activation-
+//! checkpointed training (in `matgnn-train`) and graph-parallel execution
+//! ([`graphpar_step`](crate::graphpar_step)) run each segment forward
+//! without a tape ([`Egnn::segment`](crate::Egnn::segment) on `NoTape`),
+//! keep only the boundaries, and record a segment on a tape only to
+//! differentiate it, recomputing it in backward — which is why the
+//! segment boundaries are part of the model's interface.
 
 use matgnn_graph::GraphBatch;
 use matgnn_tensor::{Tape, Var};

@@ -434,14 +434,16 @@ pub fn fill(dst: &mut [f32], value: f32) {
     dispatch!(scalar::fill(dst, value), avx2::fill(dst, value))
 }
 
-/// Column-block reduction for `sum_axis0`: `out[j] += src[i*m + c0 + j]`
-/// for every row `i < n`, ascending `i`. `out` is the `[c0, c0+out.len())`
-/// column window. Lane-wise adds only — bitwise identical across tiers.
-pub fn sum_axis0_cols(src: &[f32], n: usize, m: usize, c0: usize, out: &mut [f32]) {
+/// Column sums for `sum_axis0`: `out[j] += src[i*m + j]` for every row
+/// `i < n`, ascending `i`, with `out.len() == m`. Lane-wise adds only —
+/// bitwise identical across tiers.
+pub fn sum_axis0(src: &[f32], n: usize, m: usize, out: &mut [f32]) {
     count(KernelId::SumAxis0);
+    // The vector tier reads `src` and writes `out` through raw pointers.
+    assert!(out.len() == m && src.len() >= n * m, "sum_axis0 shape");
     dispatch!(
-        scalar::sum_axis0_cols(src, n, m, c0, out),
-        avx2::sum_axis0_cols(src, n, m, c0, out)
+        scalar::sum_axis0(src, n, m, out),
+        avx2::sum_axis0(src, n, m, out)
     )
 }
 
@@ -696,10 +698,9 @@ mod scalar {
         dst.fill(value);
     }
 
-    pub fn sum_axis0_cols(src: &[f32], n: usize, m: usize, c0: usize, out: &mut [f32]) {
-        let w = out.len();
+    pub fn sum_axis0(src: &[f32], n: usize, m: usize, out: &mut [f32]) {
         for i in 0..n {
-            let row = &src[i * m + c0..i * m + c0 + w];
+            let row = &src[i * m..(i + 1) * m];
             for (o, &v) in out.iter_mut().zip(row) {
                 *o += v;
             }
@@ -1434,12 +1435,16 @@ mod avx2 {
     // Reductions and row movement
     // ------------------------------------------------------------------
 
+    /// # Safety
+    ///
+    /// The CPU supports AVX2 and FMA, `out.len() == m` and
+    /// `src.len() >= n * m` (`super::sum_axis0` asserts both).
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn sum_axis0_cols(src: &[f32], n: usize, m: usize, c0: usize, out: &mut [f32]) {
+    pub unsafe fn sum_axis0(src: &[f32], n: usize, m: usize, out: &mut [f32]) {
         let w = out.len();
         let (sp, op_) = (src.as_ptr(), out.as_mut_ptr());
         for i in 0..n {
-            let row = sp.add(i * m + c0);
+            let row = sp.add(i * m);
             let mut j = 0;
             while j + LANES <= w {
                 let o = _mm256_loadu_ps(op_.add(j));

@@ -21,11 +21,11 @@ const MATMUL_PAR_FLOPS: usize = 4_000_000;
 /// serial for the same reason.
 const ELEM_PAR_MIN: usize = 1 << 16;
 
-/// Element count below which the axis reductions stay serial. Reductions
-/// read each input element exactly once and write far fewer, so they are
+/// Element count below which `sum_axis1` stays serial. A reduction reads
+/// each input element exactly once and writes far fewer, so it is
 /// memory-bound with no reuse — pool dispatch only pays for itself on much
-/// larger inputs than for the elementwise kernels (a 1M-element `sum_axis0`
-/// *regressed* to 0.56× under the pool before this gate was raised).
+/// larger inputs than for the elementwise kernels. (`sum_axis0` never
+/// uses the pool: see its doc.)
 const SUM_PAR_MIN: usize = 1 << 21;
 
 /// Element count below which `scatter_add_rows` stays serial. Scatter is
@@ -774,24 +774,17 @@ impl Tensor {
 
     /// Column sums: `[n,m] → [m]`.
     ///
-    /// Parallel over column ranges above [`SUM_PAR_MIN`] elements: each
-    /// worker owns a disjoint set of output columns and scans rows in
-    /// ascending order, so every output element accumulates in exactly the
-    /// serial order (and lane-wise adds make the AVX2 tier bitwise
-    /// identical to scalar, too).
+    /// Always serial: rows are scanned in ascending order with lane-wise
+    /// adds, so the AVX2 tier is bitwise identical to scalar. Splitting the
+    /// output columns over the pool lost at every size measured on a
+    /// 2-vCPU host (0.65–0.94× at 4096–8192 rows of 512): each worker then
+    /// streams every row for a few columns.
     pub fn sum_axis0(&self) -> Tensor {
         let (n, m) = (self.rows(), self.cols());
         let mut data = zeroed(m);
         let out = Arc::get_mut(&mut data).expect(UNIQUE).as_mut_slice();
-        let src = &self.data[..];
         if !out.is_empty() {
-            if use_pool(n * m, SUM_PAR_MIN) {
-                pool::for_each_chunk_mut(out, 1, |c0, cols| {
-                    simd::sum_axis0_cols(src, n, m, c0, cols);
-                });
-            } else {
-                simd::sum_axis0_cols(src, n, m, 0, out);
-            }
+            simd::sum_axis0(&self.data, n, m, out);
         }
         Tensor {
             shape: Shape::vector(m),

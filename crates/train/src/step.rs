@@ -2,17 +2,18 @@
 //! activation-checkpointed path.
 //!
 //! Checkpointing here is the real algorithm (Chen et al., adopted by the
-//! paper in Sec. V-B): the forward pass stores only segment-boundary
-//! tensors; during backward each segment is **recomputed** on a fresh tape
-//! and differentiated with the downstream segment's input gradients as
-//! seeds. The two paths produce identical gradients (tested to f32
-//! tolerance) but very different activation footprints and wall times —
-//! which is exactly what the paper's Table II measures.
+//! paper in Sec. V-B): the forward pass runs without a tape and stores
+//! only segment-boundary tensors; during backward each segment is
+//! **recomputed** on a fresh tape and differentiated with the downstream
+//! segment's input gradients as seeds. The two paths produce identical
+//! gradients (tested to f32 tolerance) but very different activation
+//! footprints and wall times — which is exactly what the paper's Table II
+//! measures.
 
 use matgnn_data::Targets;
 use matgnn_graph::GraphBatch;
 use matgnn_model::{Egnn, GnnModel, ModelOutput, ParamSet};
-use matgnn_tensor::{Gradients, MemoryCategory, MemoryTracker, Tape, Tensor, Var};
+use matgnn_tensor::{Gradients, MemoryCategory, MemoryTracker, NoTape, Tape, Tensor, Var};
 
 use crate::LossConfig;
 
@@ -123,8 +124,9 @@ fn vanilla_impl(
 /// Runs forward + backward with activation checkpointing over the model's
 /// segments.
 ///
-/// Forward keeps only segment-boundary tensors; backward recomputes each
-/// segment (including the loss in the last one) and chains gradients with
+/// Forward runs each segment without a tape ([`NoTape`]) and keeps only
+/// the segment-boundary tensors; backward recomputes each segment on a
+/// tape (including the loss in the last one) and chains gradients with
 /// [`Tape::backward_seeded`].
 pub fn checkpointed_step(
     model: &Egnn,
@@ -169,18 +171,18 @@ fn checkpointed_impl(
     let mut boundaries: Vec<Vec<Tensor>> = Vec::with_capacity(n_seg + 1);
     boundaries.push(Vec::new());
     let mut boundary_bytes: Vec<u64> = vec![0; n_seg + 1];
+    let weights: Vec<Tensor> = params.iter().map(|e| e.tensor.clone()).collect();
     for seg in 0..n_seg {
-        let mut tape = new_tape(tracker);
         let (start, end) = model.segment_param_range(seg);
-        let pvars = params.bind_range(&mut tape, start, end);
-        let state_vars: Vec<Var> = boundaries[seg]
-            .iter()
-            .map(|t| tape.constant(t.clone()))
-            .collect();
-        let out_vars = model.segment_forward(&mut tape, seg, &pvars, batch, &state_vars);
-        let out_vals: Vec<Tensor> = out_vars.iter().map(|&v| tape.value(v).clone()).collect();
+        let out_vals = model.segment(
+            &mut NoTape,
+            seg,
+            &weights[start..end],
+            batch,
+            &boundaries[seg],
+        );
         // Retained boundary tensors are the activations checkpointing pays
-        // for; everything else on `tape` is freed when it drops here.
+        // for; every other value of the segment is freed as it is consumed.
         let bytes: u64 = out_vals.iter().map(|t| t.bytes() as u64).sum();
         if let Some(t) = tracker {
             t.alloc(MemoryCategory::Activations, bytes);
@@ -353,21 +355,35 @@ mod tests {
 
     #[test]
     fn checkpointed_matches_vanilla_gradients_egnn() {
-        let model = Egnn::new(EgnnConfig::new(8, 3).with_seed(5));
+        let base = EgnnConfig::new(8, 3).with_seed(5);
         let (batch, targets) = setup(5);
         let cfg = LossConfig::default();
-        let a = vanilla_step(&model, &batch, &targets, &cfg, None);
-        let b = checkpointed_step(&model, &batch, &targets, &cfg, None);
-        assert!(
-            (a.loss - b.loss).abs() < 1e-6 * (1.0 + a.loss.abs()),
-            "{} vs {}",
-            a.loss,
-            b.loss
-        );
-        assert_eq!(a.grads.len(), b.grads.len());
-        for (i, (ga, gb)) in a.grads.iter().zip(b.grads.iter()).enumerate() {
-            let tol = 1e-4 * (1.0 + ga.max_abs());
-            assert!(ga.allclose(gb, tol), "param {i} grads differ");
+        // The default, then the configs whose tape-free forward takes
+        // other in-place branches: the gate's `mul_col`, the norm and the
+        // residual; and a `d` passed unchanged across every boundary.
+        for config in [
+            base,
+            base.with_edge_gate(true)
+                .with_layer_norm(true)
+                .with_rbf(6)
+                .with_residual(true),
+            base.with_update_coords(false),
+        ] {
+            let model = Egnn::new(config);
+            let a = vanilla_step(&model, &batch, &targets, &cfg, None);
+            let b = checkpointed_step(&model, &batch, &targets, &cfg, None);
+            let name = config.summary();
+            assert!(
+                (a.loss - b.loss).abs() < 1e-6 * (1.0 + a.loss.abs()),
+                "{} vs {} with {name}",
+                a.loss,
+                b.loss
+            );
+            assert_eq!(a.grads.len(), b.grads.len());
+            for (i, (ga, gb)) in a.grads.iter().zip(b.grads.iter()).enumerate() {
+                let tol = 1e-4 * (1.0 + ga.max_abs());
+                assert!(ga.allclose(gb, tol), "param {i} grads differ with {name}");
+            }
         }
     }
 
