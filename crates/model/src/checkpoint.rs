@@ -37,6 +37,10 @@ pub enum CheckpointError {
         /// What disagreed.
         detail: String,
     },
+    /// The stored model config describes no model this checkpoint can
+    /// hold: a zero width or depth, or more parameters than the bytes
+    /// that follow.
+    BadConfig(String),
     /// An I/O error (when reading/writing files).
     Io(String),
 }
@@ -51,6 +55,7 @@ impl fmt::Display for CheckpointError {
             CheckpointError::Mismatch { index, detail } => {
                 write!(f, "parameter {index} mismatch: {detail}")
             }
+            CheckpointError::BadConfig(detail) => write!(f, "invalid model config: {detail}"),
             CheckpointError::Io(e) => write!(f, "checkpoint i/o error: {e}"),
         }
     }
@@ -177,7 +182,8 @@ pub fn egnn_to_bytes(model: &Egnn) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns a [`CheckpointError`] on malformed input or a parameter layout
-/// that no longer matches the config (version skew).
+/// that no longer matches the config (version skew). A corrupted config is
+/// rejected as [`CheckpointError::BadConfig`] before the model is built.
 pub fn egnn_from_bytes(data: &[u8]) -> Result<Egnn, CheckpointError> {
     use CheckpointError::Truncated;
     let mut buf = ByteReader::new(data);
@@ -199,9 +205,30 @@ pub fn egnn_from_bytes(data: &[u8]) -> Result<Egnn, CheckpointError> {
         n_rbf: buf.get_u32().ok_or(Truncated)? as usize,
         seed: buf.get_u64().ok_or(Truncated)?,
     };
+    check_header(&cfg, buf.remaining().len())?;
     let mut model = Egnn::new(cfg);
     load_params_into(model.params_mut(), buf.remaining())?;
     Ok(model)
+}
+
+/// Rejects a stored config before anything is allocated for it: a zero
+/// width or depth, which [`Egnn::new`] refuses, or more parameters than
+/// the `payload` bytes that follow can hold at 4 bytes each, which a
+/// corrupted width or depth produces.
+fn check_header(cfg: &EgnnConfig, payload: usize) -> Result<(), CheckpointError> {
+    let (h, l) = (cfg.hidden_dim, cfg.n_layers);
+    if h == 0 || l == 0 {
+        return Err(CheckpointError::BadConfig(format!(
+            "hidden_dim {h} and n_layers {l} must be positive"
+        )));
+    }
+    match cfg.checked_param_count() {
+        Some(n) if n <= payload / 4 => Ok(()),
+        _ => Err(CheckpointError::BadConfig(format!(
+            "hidden_dim {h} and n_layers {l} need more parameters than the \
+             {payload} bytes that follow hold"
+        ))),
+    }
 }
 
 /// Writes an EGNN checkpoint to a file.
@@ -337,6 +364,34 @@ mod tests {
             .flatten()
             .allclose(&loaded.params().flatten(), 0.0));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// `bytes` with the big-endian `u32` header field at `offset` replaced:
+    /// 12 is `hidden_dim`, 16 is `n_layers`.
+    fn with_header_u32(bytes: &[u8], offset: usize, value: u32) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        out[offset..offset + 4].copy_from_slice(&value.to_be_bytes());
+        out
+    }
+
+    #[test]
+    fn zero_width_or_depth_header_is_an_error() {
+        let bytes = egnn_to_bytes(&Egnn::new(EgnnConfig::new(8, 2)));
+        for offset in [12, 16] {
+            let err = egnn_from_bytes(&with_header_u32(&bytes, offset, 0)).unwrap_err();
+            assert!(matches!(err, CheckpointError::BadConfig(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn oversized_header_is_an_error_before_building() {
+        let bytes = egnn_to_bytes(&Egnn::new(EgnnConfig::new(8, 2)));
+        // A width of 2²⁰ needs ~2⁴² bytes of weights; u32::MAX overflows
+        // the parameter count; a depth of u32::MAX needs ~2⁴¹ bytes.
+        for (offset, value) in [(12, 1 << 20), (12, u32::MAX), (16, u32::MAX)] {
+            let err = egnn_from_bytes(&with_header_u32(&bytes, offset, value)).unwrap_err();
+            assert!(matches!(err, CheckpointError::BadConfig(_)), "{err}");
+        }
     }
 
     #[test]

@@ -121,30 +121,41 @@ impl EgnnConfig {
     }
 
     /// Exact scalar parameter count of the model this config builds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count overflows `usize`.
     pub fn param_count(&self) -> usize {
+        self.checked_param_count()
+            .expect("parameter count overflows usize")
+    }
+
+    /// [`param_count`](Self::param_count), or `None` when it overflows
+    /// `usize`: the form for a config read from untrusted bytes.
+    pub fn checked_param_count(&self) -> Option<usize> {
+        let mlp = Mlp::checked_count_params;
         let h = self.hidden_dim;
-        let f = self.node_feat_dim;
-        let e = self.edge_feat_dim();
+        let two_h = h.checked_mul(2)?;
+        let edge_in = two_h.checked_add(self.edge_feat_dim())?;
         // Embedding: Linear(F → H).
-        let mut total = f * h + h;
+        let mut total = mlp(&[self.node_feat_dim, h])?;
         // Per layer: φ_e [2H+E → H → H], φ_x [H → H → 1] (if coords),
         // φ_h [2H → H → H], gate Linear(H → 1) (if gated).
-        let mut per_layer = Mlp::count_params(&[2 * h + e, h, h]);
-        per_layer += Mlp::count_params(&[2 * h, h, h]);
+        let mut per_layer = mlp(&[edge_in, h, h])?.checked_add(mlp(&[two_h, h, h])?)?;
         if self.update_coords {
-            per_layer += Mlp::count_params(&[h, h, 1]);
+            per_layer = per_layer.checked_add(mlp(&[h, h, 1])?)?;
         }
         if self.edge_gate {
-            per_layer += h + 1;
+            per_layer = per_layer.checked_add(mlp(&[h, 1])?)?;
         }
         if self.layer_norm {
-            per_layer += crate::mlp::LayerNorm::count_params(h);
+            // `2·h` scalars, which `two_h` showed to fit.
+            per_layer = per_layer.checked_add(crate::mlp::LayerNorm::count_params(h))?;
         }
-        total += per_layer * self.n_layers;
+        total = total.checked_add(per_layer.checked_mul(self.n_layers)?)?;
         // Heads: energy [H → H → 1], forces [2H+E → H → 1].
-        total += Mlp::count_params(&[h, h, 1]);
-        total += Mlp::count_params(&[2 * h + e, h, 1]);
-        total
+        total = total.checked_add(mlp(&[h, h, 1])?)?;
+        total.checked_add(mlp(&[edge_in, h, 1])?)
     }
 
     /// Finds the width whose parameter count at depth `n_layers` is closest

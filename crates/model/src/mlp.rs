@@ -124,9 +124,21 @@ impl Mlp {
     }
 
     /// Scalar parameter count of an MLP with these widths.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count overflows `usize`.
     pub fn count_params(widths: &[usize]) -> usize {
+        Self::checked_count_params(widths).expect("parameter count overflows usize")
+    }
+
+    /// [`count_params`](Self::count_params), or `None` when it overflows
+    /// `usize`.
+    pub fn checked_count_params(widths: &[usize]) -> Option<usize> {
         // Weights plus bias per layer.
-        widths.windows(2).map(|w| w[0] * w[1] + w[1]).sum()
+        widths.windows(2).try_fold(0usize, |n, w| {
+            n.checked_add(w[0].checked_mul(w[1])?.checked_add(w[1])?)
+        })
     }
 
     /// Applies the MLP.

@@ -26,9 +26,9 @@
 //! **bitwise identical** for *every* thread count, including 1 — the
 //! property the checkpoint/resume guarantee of the trainer relies on, and
 //! the one `tests/parallel_determinism.rs` asserts kernel by kernel.
-//! The [`crate::simd`] tiers layer *under* this chunking, so the
-//! guarantee holds within any fixed SIMD tier; switching tiers changes
-//! FMA-contracted results by ulps (see the `simd` module docs).
+//! The [`crate::simd`] tiers layer *under* this chunking and compute the
+//! same bits as each other, so the guarantee holds on every tier (see the
+//! `simd` module docs).
 //!
 //! ## Blocking and panics
 //!

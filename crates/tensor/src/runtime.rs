@@ -22,8 +22,8 @@ use crate::simd::{detected_tier, SimdTier};
 const MAX_THREADS: usize = 256;
 
 /// The settings every kernel on a thread runs under. Results are bitwise
-/// identical for every `threads` and `recycler`; `simd` changes
-/// FMA-contracted results by ulps (see [`crate::simd`]).
+/// identical for every `threads`, `simd` and `recycler` (see
+/// [`crate::simd`]); the settings change only speed and memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Runtime {
     /// Pool size kernels split work for (1: serial on the calling

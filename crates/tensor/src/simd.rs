@@ -7,17 +7,15 @@
 //! `matgnn-train` funnel through the entry points here. Each entry point
 //! dispatches once per call to one of three **tiers**:
 //!
-//! * **Scalar** — portable Rust, byte-for-byte the kernels this crate has
-//!   always shipped. The reference tier and the fallback on hardware
+//! * **Scalar** — portable Rust: the per-element chain of every kernel,
+//!   spelled once. The reference tier and the fallback on hardware
 //!   without AVX2.
 //! * **Avx2** — explicit `std::arch` AVX2 + FMA kernels (8-lane `f32`
 //!   vectors, fused multiply-add accumulators, register-tiled matmul).
 //! * **Avx512** — the AVX2 tier with the matmul microkernel widened to
-//!   16-lane `zmm` FMA tiles. Every non-matmul kernel is *the same
-//!   function* as the AVX2 tier, and the matmul accumulation chains are
-//!   identical too (ascending-`k` FMA per element), so the two vector
-//!   tiers produce bitwise identical results — Avx512 is purely a
-//!   throughput upgrade on chips with two 512-bit FMA units.
+//!   16-lane `zmm` FMA tiles; every non-matmul kernel is *the same
+//!   function* as the AVX2 tier. Purely a throughput upgrade on chips with
+//!   two 512-bit FMA units.
 //!
 //! ## Tier selection
 //!
@@ -36,25 +34,17 @@
 //!
 //! ## Determinism contract
 //!
-//! *Within a tier*, every kernel is **bitwise deterministic for any pool
-//! size**: each output element is produced by a fixed per-element chain of
-//! IEEE-754 operations that does not depend on where the pool's chunk
-//! boundaries fall. Concretely, the vector kernels vectorize *across*
-//! output elements (one accumulator chain per element, ascending
-//! reduction order preserved; the one exception, `sum_axis1`, folds its
-//! lane accumulators in a fixed tree that never depends on chunking),
-//! and their scalar remainder loops use
-//! `f32::mul_add` wherever the vector body uses FMA, so an element
-//! computed in a remainder loop is bit-identical to the same element
-//! computed in a full vector lane.
-//!
-//! *Across tiers*, results agree to tight tolerance but not bitwise: FMA
-//! contracts the multiply-add rounding step, and the AVX2 `exp` family
-//! uses a ≈1-ulp polynomial instead of libm. Every thread of a run inherits
-//! one tier, so checkpoints, supervisor rollback and DDP replica
-//! consistency — all within-run, within-tier properties — are unaffected.
-//! Cross-tier parity is asserted (tolerance + gradcheck) in
-//! `tests/simd_parity.rs` and the `matgnn_bench kernels` suite.
+//! Every kernel is **bitwise identical for any pool size and any tier**,
+//! so a seed gives one answer on every machine. Each output element is one
+//! fixed chain of IEEE-754 operations wherever it is computed: the vector
+//! kernels vectorize *across* output elements (one accumulator chain per
+//! element, ascending reduction order; `sum_axis1` folds a row's 8 lane
+//! accumulators in a fixed tree), the scalar tier computes that same chain
+//! (`mul_add` where the lanes fuse, the Cephes polynomial `exp`, the
+//! 8-accumulator row sum), and the vector kernels hand the elements that do
+//! not fill a vector to the scalar code. NaN stays NaN on every tier; its
+//! sign and payload bits are not part of the contract. `tests/simd_parity.rs`
+//! and the `matgnn_bench kernels` suite assert it kernel by kernel.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -64,12 +54,13 @@ use crate::runtime::Runtime;
 /// Ordered by capability: a CPU that runs a tier runs every lower one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdTier {
-    /// Portable scalar Rust — the deterministic reference implementation.
+    /// Portable Rust running the vector lanes' per-element chain: the
+    /// reference implementation, bitwise equal to the vector tiers.
     Scalar,
     /// AVX2 + FMA `std::arch` kernels (x86-64 only).
     Avx2,
     /// The AVX2 tier with a 512-bit matmul microkernel (x86-64 with
-    /// AVX-512F only). Bitwise identical to [`SimdTier::Avx2`].
+    /// AVX-512F only).
     Avx512,
 }
 
@@ -205,9 +196,8 @@ pub fn publish_telemetry() {
 // Op vocabularies
 // ----------------------------------------------------------------------
 
-/// Elementwise binary operations with dedicated vector kernels. All four
-/// are single IEEE operations per lane, so the AVX2 results are bitwise
-/// identical to the scalar tier.
+/// Elementwise binary operations with dedicated vector kernels: one IEEE
+/// operation per element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinaryOp {
     /// `a + b`
@@ -222,9 +212,8 @@ pub enum BinaryOp {
 
 /// Elementwise unary operations with dedicated vector kernels.
 ///
-/// `Exp`, `Sigmoid`, `Silu` and `SiluGrad` use a polynomial `exp` on the
-/// AVX2 tier (≈1 ulp vs libm — cross-tier tolerance, not bitwise); every
-/// other variant is lane-exact and bitwise identical across tiers.
+/// `Exp`, `Sigmoid`, `Silu` and `SiluGrad` use the Cephes polynomial `exp`
+/// on every tier (within a few ulp of libm).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum UnaryOp {
     /// `a * alpha`
@@ -239,7 +228,7 @@ pub enum UnaryOp {
     Square,
     /// `√a`
     Sqrt,
-    /// `max(a, 0)`
+    /// `max(a, 0)`, as `maxps` computes it: `+0` for `−0` and for NaN
     Relu,
     /// `eᵃ`
     Exp,
@@ -259,7 +248,8 @@ pub enum UnaryOp {
 /// x86-64 and only reached after runtime feature detection. The two-arm
 /// form routes the Avx512 tier to the AVX2 kernel (every non-matmul
 /// kernel is shared); the three-arm form is for the matmul, which has a
-/// dedicated 512-bit microkernel.
+/// dedicated 512-bit microkernel. Kernels whose scalar chain uses
+/// `mul_add` pass a [`scalar_fma`] entry point as the scalar arm.
 macro_rules! dispatch {
     ($scalar:expr, $avx2:expr) => {
         dispatch!($scalar, $avx2, $avx2)
@@ -342,9 +332,9 @@ fn matmul_operands_in_bounds(
 /// choices on this one kernel.
 ///
 /// Every output element accumulates its `k` products in ascending-`k`
-/// order into a single accumulator chain (plain multiply-add on the
-/// scalar tier, FMA on AVX2), so for a fixed tier the result is invariant
-/// to row blocking, pool chunking and operand strides.
+/// order into a single fused multiply-add chain (`mul_add` on the scalar
+/// tier, FMA lanes on the vector tiers), so the result is invariant to
+/// row blocking, pool chunking, operand strides and tier.
 ///
 /// # Panics
 ///
@@ -368,13 +358,13 @@ pub fn matmul_rows(
     );
     count(KernelId::Matmul);
     dispatch!(
-        scalar::matmul_rows(a, b, out, row_offset, k, m),
+        scalar_fma::matmul_rows(a, b, out, row_offset, k, m),
         avx2::matmul_rows(a, b, out, row_offset, k, m),
         avx512::matmul_rows(a, b, out, row_offset, k, m)
     )
 }
 
-/// `out[i] = op(a[i], b[i])`. Bitwise identical across tiers.
+/// `out[i] = op(a[i], b[i])`.
 ///
 /// # Panics
 ///
@@ -394,10 +384,10 @@ pub fn binary(op: BinaryOp, a: &[f32], b: &[f32], out: &mut [f32]) {
 pub fn unary(op: UnaryOp, src: &[f32], out: &mut [f32]) {
     assert_eq!(src.len(), out.len());
     count(KernelId::Unary);
-    dispatch!(scalar::unary(op, src, out), avx2::unary(op, src, out))
+    dispatch!(scalar_fma::unary(op, src, out), avx2::unary(op, src, out))
 }
 
-/// `dst[i] += alpha * src[i]` (BLAS `axpy`; FMA on the AVX2 tier).
+/// `dst[i] += alpha * src[i]` (BLAS `axpy`), one fused multiply-add.
 ///
 /// # Panics
 ///
@@ -405,10 +395,13 @@ pub fn unary(op: UnaryOp, src: &[f32], out: &mut [f32]) {
 pub fn axpy(dst: &mut [f32], alpha: f32, src: &[f32]) {
     assert_eq!(dst.len(), src.len());
     count(KernelId::Axpy);
-    dispatch!(scalar::axpy(dst, alpha, src), avx2::axpy(dst, alpha, src))
+    dispatch!(
+        scalar_fma::axpy(dst, alpha, src),
+        avx2::axpy(dst, alpha, src)
+    )
 }
 
-/// `dst[i] *= alpha`. Bitwise identical across tiers.
+/// `dst[i] *= alpha`.
 pub fn scale_in_place(dst: &mut [f32], alpha: f32) {
     count(KernelId::ScaleInPlace);
     dispatch!(
@@ -417,7 +410,8 @@ pub fn scale_in_place(dst: &mut [f32], alpha: f32) {
     )
 }
 
-/// `dst[i] = beta * dst[i] + (1 - beta) * src[i]` (EMA update).
+/// `dst[i] = beta * dst[i] + (1 - beta) * src[i]` (EMA update), the
+/// first product fused into the sum.
 ///
 /// # Panics
 ///
@@ -425,18 +419,17 @@ pub fn scale_in_place(dst: &mut [f32], alpha: f32) {
 pub fn lerp(dst: &mut [f32], beta: f32, src: &[f32]) {
     assert_eq!(dst.len(), src.len());
     count(KernelId::Lerp);
-    dispatch!(scalar::lerp(dst, beta, src), avx2::lerp(dst, beta, src))
+    dispatch!(scalar_fma::lerp(dst, beta, src), avx2::lerp(dst, beta, src))
 }
 
-/// `dst[i] = value`. Bitwise trivial.
+/// `dst[i] = value`.
 pub fn fill(dst: &mut [f32], value: f32) {
     count(KernelId::Fill);
     dispatch!(scalar::fill(dst, value), avx2::fill(dst, value))
 }
 
 /// Column sums for `sum_axis0`: `out[j] += src[i*m + j]` for every row
-/// `i < n`, ascending `i`, with `out.len() == m`. Lane-wise adds only —
-/// bitwise identical across tiers.
+/// `i < n`, ascending `i`, with `out.len() == m`.
 pub fn sum_axis0(src: &[f32], n: usize, m: usize, out: &mut [f32]) {
     count(KernelId::SumAxis0);
     // The vector tier reads `src` and writes `out` through raw pointers.
@@ -448,11 +441,13 @@ pub fn sum_axis0(src: &[f32], n: usize, m: usize, out: &mut [f32]) {
 }
 
 /// Row reduction for `sum_axis1`: `out[local] = Σ row (r0 + local)` of the
-/// `[*, m]` matrix `src`. The AVX2 tier reduces each row with 8 lane
-/// accumulators folded in a fixed tree (cross-tier tolerance, within-tier
-/// deterministic — rows never straddle pool chunks).
+/// `[*, m]` matrix `src`, with 8 lane accumulators folded in one fixed
+/// tree on every tier; rows never straddle pool chunks. Panics if a row
+/// lies outside `src`.
 pub fn sum_axis1_rows(src: &[f32], m: usize, r0: usize, out: &mut [f32]) {
     count(KernelId::SumAxis1);
+    // The vector tier reads the rows through raw pointers.
+    assert!(src.len() >= (r0 + out.len()) * m, "sum_axis1 shape");
     dispatch!(
         scalar::sum_axis1_rows(src, m, r0, out),
         avx2::sum_axis1_rows(src, m, r0, out)
@@ -461,13 +456,15 @@ pub fn sum_axis1_rows(src: &[f32], m: usize, r0: usize, out: &mut [f32]) {
 
 /// Row gather into a chunk of output rows: `chunk[local] = src[idx[local]]`
 /// where `chunk` holds `chunk.len()/m` rows and `idx` is pre-offset to the
-/// chunk's first row. Pure copies — bitwise identical across tiers.
+/// chunk's first row. Pure copies.
 ///
 /// # Panics
 ///
-/// Panics (in debug) on row-index overflow; callers validate indices.
+/// Panics if `chunk` does not hold `idx.len()` rows or a row lies outside
+/// `src`.
 pub fn gather_rows(src: &[f32], idx: &[usize], chunk: &mut [f32], m: usize) {
     count(KernelId::GatherRows);
+    assert_eq!(chunk.len(), idx.len() * m, "gather_rows shape");
     dispatch!(
         scalar::gather_rows(src, idx, chunk, m),
         avx2::gather_rows(src, idx, chunk, m)
@@ -476,8 +473,8 @@ pub fn gather_rows(src: &[f32], idx: &[usize], chunk: &mut [f32], m: usize) {
 
 /// Scatter-add of source rows into an owned output-row window:
 /// for every `(i, t)` in `idx` with `r0 ≤ t < r1`, adds `src` row `i` into
-/// `chunk` row `t - r0`, in ascending source order. Lane-wise adds only —
-/// bitwise identical across tiers.
+/// `chunk` row `t - r0`, in ascending source order. Panics if a row lies
+/// outside `src` or `chunk`.
 pub fn scatter_add_rows(
     src: &[f32],
     idx: &[usize],
@@ -513,9 +510,9 @@ pub struct AdamSliceArgs {
 }
 
 /// One fused Adam step over a parameter slice: updates `param` in place
-/// from `grad`, maintaining moments `m` / `v`. The AVX2 tier fuses the
-/// moment updates and the parameter step with FMA (cross-tier tolerance);
-/// both tiers are elementwise, so results are pool-chunking invariant.
+/// from `grad`, maintaining moments `m` / `v`. The moment updates and the
+/// weight decay are fused multiply-adds; the kernel is elementwise, so
+/// results are pool-chunking invariant.
 ///
 /// # Panics
 ///
@@ -532,15 +529,21 @@ pub fn adam_slice(
     assert_eq!(param.len(), v.len());
     count(KernelId::Adam);
     dispatch!(
-        scalar::adam_slice(param, grad, m, v, a),
+        scalar_fma::adam_slice(param, grad, m, v, a),
         avx2::adam_slice(param, grad, m, v, a)
     )
 }
 
 // ----------------------------------------------------------------------
-// Scalar tier — the portable reference kernels
+// Scalar tier — every kernel's per-element chain, spelled once
 // ----------------------------------------------------------------------
 
+/// The scalar tier: each function computes an element exactly as a vector
+/// lane does, and the vector kernels call it on the elements that do not
+/// fill a vector. `#[inline(always)]` compiles each into its caller with
+/// the caller's instruction set (`mul_add` is an FMA instruction in the
+/// vector kernels and [`scalar_fma`]; without FMA code generation on
+/// x86-64 it is a call to libm's exact `fmaf`).
 mod scalar {
     use super::{AdamSliceArgs, BinaryOp, MatRef, UnaryOp};
 
@@ -550,13 +553,60 @@ mod scalar {
 
     /// Row-tile height: each pass over a `b` row updates `MR` output rows
     /// from registers, quartering `b` traffic versus the naive loop.
-    pub(super) const MR: usize = 4;
+    const MR: usize = 4;
 
-    /// Cache-blocked i-k-j matmul microkernel over strided operands (unit
-    /// stride on `out`), `k`-blocks outermost like the vector tiers. Each
-    /// element's chain is the pre-SIMD kernel's, bit for bit; strides
-    /// change only where operands are read from.
-    pub fn matmul_rows(
+    /// Lane count of the vector accumulator that [`row_sum`] reproduces.
+    const SUM_LANES: usize = 8;
+
+    // Polynomial exp: Cephes coefficients.
+    pub(super) const EXP_HI: f32 = 88.0;
+    pub(super) const EXP_LO: f32 = -87.0;
+    pub(super) const LOG2E: f32 = std::f32::consts::LOG2_E;
+    // Written digit-for-digit as Cephes publishes them; clippy's
+    // shorter spellings round to the same bits but obscure the source.
+    #[allow(clippy::excessive_precision)]
+    pub(super) const LN2_HI: f32 = 0.693_359_375;
+    pub(super) const LN2_LO: f32 = -2.121_944_4e-4;
+    pub(super) const EXP_P0: f32 = 1.987_569_1e-4;
+    pub(super) const EXP_P1: f32 = 1.398_199_9e-3;
+    pub(super) const EXP_P2: f32 = 8.333_452e-3;
+    pub(super) const EXP_P3: f32 = 4.166_579_6e-2;
+    pub(super) const EXP_P4: f32 = 1.666_666_5e-1;
+    #[allow(clippy::excessive_precision)]
+    pub(super) const EXP_P5: f32 = 5.000_000_2e-1;
+
+    /// `eˣ` as one lane of the AVX2 tier's `exp_v` computes it, `mul_add`
+    /// wherever `exp_v` uses FMA; the comparisons spell `minps` / `maxps`
+    /// (`a < b ? a : b`), so NaN rides through.
+    #[inline(always)]
+    pub(super) fn exp_lane(x: f32) -> f32 {
+        // minps(hi, x): hi < x ? hi : x — NaN falls through as x.
+        let x = if EXP_HI < x { EXP_HI } else { x };
+        // maxps(lo, x): lo > x ? lo : x.
+        let x = if EXP_LO > x { EXP_LO } else { x };
+        let n = x.mul_add(LOG2E, 0.5).floor();
+        // minps(n, 127): guards the 2ⁿ bit shift against overflow when
+        // the clamp boundary itself rounds up.
+        let n = if n < 127.0 { n } else { 127.0 };
+        let r = (-n).mul_add(LN2_HI, x);
+        let r = (-n).mul_add(LN2_LO, r);
+        let z = r * r;
+        let mut p = EXP_P0;
+        p = p.mul_add(r, EXP_P1);
+        p = p.mul_add(r, EXP_P2);
+        p = p.mul_add(r, EXP_P3);
+        p = p.mul_add(r, EXP_P4);
+        p = p.mul_add(r, EXP_P5);
+        let y = p.mul_add(z, r) + 1.0;
+        let scale = f32::from_bits((((n as i32) + 127) << 23) as u32);
+        y * scale
+    }
+
+    /// Cache-blocked i-k-j matmul over strided operands (unit stride on
+    /// `out`), `k`-blocks outermost like the vector tiers: every element
+    /// is one ascending-`k` `mul_add` chain, the chain of every tier.
+    #[inline(always)]
+    pub(super) fn matmul_rows(
         a: MatRef<'_>,
         b: MatRef<'_>,
         out: &mut [f32],
@@ -610,22 +660,17 @@ mod scalar {
                             .zip(o3.iter_mut())
                             .zip(brow)
                         {
-                            *x0 += av0 * bv;
-                            *x1 += av1 * bv;
-                            *x2 += av2 * bv;
-                            *x3 += av3 * bv;
+                            *x0 = av0.mul_add(bv, *x0);
+                            *x1 = av1.mul_add(bv, *x1);
+                            *x2 = av2.mul_add(bv, *x2);
+                            *x3 = av3.mul_add(bv, *x3);
                         }
                     }
                 } else {
-                    for di in 0..tile {
-                        let ai = (row_offset + i0 + di) * ars + k0 * acs;
-                        let orow = &mut out[(i0 + di) * m..(i0 + di + 1) * m];
-                        for kk in 0..kb {
-                            let av = a[ai + kk * acs];
-                            let brow = &panel[kk * ps..kk * ps + m];
-                            for (o, &bv) in orow.iter_mut().zip(brow) {
-                                *o += av * bv;
-                            }
+                    for i in i0..i0 + tile {
+                        let ai = (row_offset + i) * ars + k0 * acs;
+                        for (j, o) in out[i * m..(i + 1) * m].iter_mut().enumerate() {
+                            *o = fma_chain(*o, kb, |kk| a[ai + kk * acs], |kk| panel[kk * ps + j]);
                         }
                     }
                 }
@@ -635,7 +680,21 @@ mod scalar {
         }
     }
 
-    pub fn binary(op: BinaryOp, a: &[f32], b: &[f32], out: &mut [f32]) {
+    /// `acc + a(0)·b(0) + a(1)·b(1) + …` over `kk < kb`, one `mul_add` at
+    /// a time: the chain of every matmul output element on every tier. The
+    /// caller supplies the operand reads.
+    #[inline(always)]
+    pub(super) fn fma_chain(
+        acc: f32,
+        kb: usize,
+        a: impl Fn(usize) -> f32,
+        b: impl Fn(usize) -> f32,
+    ) -> f32 {
+        (0..kb).fold(acc, |acc, kk| a(kk).mul_add(b(kk), acc))
+    }
+
+    #[inline(always)]
+    pub(super) fn binary(op: BinaryOp, a: &[f32], b: &[f32], out: &mut [f32]) {
         let f = match op {
             BinaryOp::Add => |a: f32, b: f32| a + b,
             BinaryOp::Sub => |a: f32, b: f32| a - b,
@@ -647,10 +706,8 @@ mod scalar {
         }
     }
 
-    pub fn unary(op: UnaryOp, src: &[f32], out: &mut [f32]) {
-        // Each arm preserves the exact legacy closure semantics (libm
-        // `exp`, etc.), so the scalar tier stays bitwise stable across
-        // releases.
+    #[inline(always)]
+    pub(super) fn unary(op: UnaryOp, src: &[f32], out: &mut [f32]) {
         macro_rules! map {
             ($f:expr) => {
                 for (o, &x) in out.iter_mut().zip(src) {
@@ -665,63 +722,103 @@ mod scalar {
             UnaryOp::Abs => map!(f32::abs),
             UnaryOp::Square => map!(|x: f32| x * x),
             UnaryOp::Sqrt => map!(f32::sqrt),
-            UnaryOp::Relu => map!(|x: f32| x.max(0.0)),
-            UnaryOp::Exp => map!(f32::exp),
-            UnaryOp::Sigmoid => map!(|x: f32| 1.0 / (1.0 + (-x).exp())),
-            UnaryOp::Silu => map!(|x: f32| x / (1.0 + (-x).exp())),
+            // maxps(x, 0): x > 0 ? x : 0.
+            UnaryOp::Relu => map!(|x: f32| if x > 0.0 { x } else { 0.0 }),
+            UnaryOp::Exp => map!(exp_lane),
+            UnaryOp::Sigmoid => map!(|x: f32| 1.0 / (1.0 + exp_lane(-x))),
+            UnaryOp::Silu => map!(|x: f32| x / (1.0 + exp_lane(-x))),
             UnaryOp::SiluGrad => map!(|x: f32| {
-                let s = 1.0 / (1.0 + (-x).exp());
-                s * (1.0 + x * (1.0 - s))
+                let s = 1.0 / (1.0 + exp_lane(-x));
+                s * x.mul_add(1.0 - s, 1.0)
             }),
         }
     }
 
-    pub fn axpy(dst: &mut [f32], alpha: f32, src: &[f32]) {
+    #[inline(always)]
+    pub(super) fn axpy(dst: &mut [f32], alpha: f32, src: &[f32]) {
         for (d, &s) in dst.iter_mut().zip(src) {
-            *d += alpha * s;
+            *d = alpha.mul_add(s, *d);
         }
     }
 
-    pub fn scale_in_place(dst: &mut [f32], alpha: f32) {
+    #[inline(always)]
+    pub(super) fn scale_in_place(dst: &mut [f32], alpha: f32) {
         for d in dst {
             *d *= alpha;
         }
     }
 
-    pub fn lerp(dst: &mut [f32], beta: f32, src: &[f32]) {
+    #[inline(always)]
+    pub(super) fn lerp(dst: &mut [f32], beta: f32, src: &[f32]) {
+        let ob = 1.0 - beta;
         for (d, &s) in dst.iter_mut().zip(src) {
-            *d = beta * *d + (1.0 - beta) * s;
+            *d = beta.mul_add(*d, ob * s);
         }
     }
 
-    pub fn fill(dst: &mut [f32], value: f32) {
+    #[inline(always)]
+    pub(super) fn fill(dst: &mut [f32], value: f32) {
         dst.fill(value);
     }
 
-    pub fn sum_axis0(src: &[f32], n: usize, m: usize, out: &mut [f32]) {
+    /// `dst[j] += src[j]`.
+    #[inline(always)]
+    pub(super) fn add_assign(dst: &mut [f32], src: &[f32]) {
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d += s;
+        }
+    }
+
+    #[inline(always)]
+    pub(super) fn sum_axis0(src: &[f32], n: usize, m: usize, out: &mut [f32]) {
         for i in 0..n {
-            let row = &src[i * m..(i + 1) * m];
-            for (o, &v) in out.iter_mut().zip(row) {
-                *o += v;
+            add_assign(out, &src[i * m..(i + 1) * m]);
+        }
+    }
+
+    /// `s + xs[0] + xs[1] + …`, added left to right.
+    #[inline(always)]
+    pub(super) fn add_in_order(s: f32, xs: &[f32]) -> f32 {
+        xs.iter().fold(s, |s, &x| s + x)
+    }
+
+    /// Sum of `row` as the vector tiers compute it: 8 lane accumulators
+    /// folded `((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7))`, then the
+    /// last `len % 8` elements added in order.
+    #[inline(always)]
+    fn row_sum(row: &[f32]) -> f32 {
+        let mut acc = [0.0f32; SUM_LANES];
+        let mut chunks = row.chunks_exact(SUM_LANES);
+        for chunk in &mut chunks {
+            for (a, &x) in acc.iter_mut().zip(chunk) {
+                *a += x;
             }
         }
+        let pair = |l: usize| acc[l] + acc[l + 4];
+        add_in_order(
+            (pair(0) + pair(2)) + (pair(1) + pair(3)),
+            chunks.remainder(),
+        )
     }
 
-    pub fn sum_axis1_rows(src: &[f32], m: usize, r0: usize, out: &mut [f32]) {
+    #[inline(always)]
+    pub(super) fn sum_axis1_rows(src: &[f32], m: usize, r0: usize, out: &mut [f32]) {
         for (local, o) in out.iter_mut().enumerate() {
             let i = r0 + local;
-            *o = src[i * m..(i + 1) * m].iter().sum();
+            *o = row_sum(&src[i * m..(i + 1) * m]);
         }
     }
 
-    pub fn gather_rows(src: &[f32], idx: &[usize], chunk: &mut [f32], m: usize) {
+    #[inline(always)]
+    pub(super) fn gather_rows(src: &[f32], idx: &[usize], chunk: &mut [f32], m: usize) {
         for (local, orow) in chunk.chunks_mut(m).enumerate() {
             let i = idx[local];
             orow.copy_from_slice(&src[i * m..(i + 1) * m]);
         }
     }
 
-    pub fn scatter_add_rows(
+    #[inline(always)]
+    pub(super) fn scatter_add_rows(
         src: &[f32],
         idx: &[usize],
         chunk: &mut [f32],
@@ -731,36 +828,82 @@ mod scalar {
     ) {
         for (i, &t) in idx.iter().enumerate() {
             if t >= r0 && t < r1 {
-                let srow = &src[i * m..(i + 1) * m];
-                let drow = &mut chunk[(t - r0) * m..(t - r0 + 1) * m];
-                for (d, &s) in drow.iter_mut().zip(srow) {
-                    *d += s;
-                }
+                add_assign(
+                    &mut chunk[(t - r0) * m..(t - r0 + 1) * m],
+                    &src[i * m..(i + 1) * m],
+                );
             }
         }
     }
 
-    pub fn adam_slice(
+    #[inline(always)]
+    pub(super) fn adam_slice(
         param: &mut [f32],
         grad: &[f32],
         m: &mut [f32],
         v: &mut [f32],
         a: &AdamSliceArgs,
     ) {
-        // Verbatim the legacy `adam_update` inner loop: the scalar tier
-        // must keep old checkpoints' trajectories bit-identical.
-        for i in 0..param.len() {
-            let g = grad[i];
-            m[i] = a.beta1 * m[i] + (1.0 - a.beta1) * g;
-            v[i] = a.beta2 * v[i] + (1.0 - a.beta2) * g * g;
-            let m_hat = m[i] / a.bc1;
-            let v_hat = v[i] / a.bc2;
-            let mut p = param[i];
-            if a.weight_decay > 0.0 {
-                p -= a.lr * a.weight_decay * p;
+        let (ob1, ob2, lrwd) = (1.0 - a.beta1, 1.0 - a.beta2, a.lr * a.weight_decay);
+        let decay = a.weight_decay > 0.0;
+        for (((p, &g), m), v) in param
+            .iter_mut()
+            .zip(grad)
+            .zip(m.iter_mut())
+            .zip(v.iter_mut())
+        {
+            let mm = a.beta1.mul_add(*m, ob1 * g);
+            let vv = a.beta2.mul_add(*v, ob2 * (g * g));
+            *m = mm;
+            *v = vv;
+            let m_hat = mm / a.bc1;
+            let v_hat = vv / a.bc2;
+            let mut q = *p;
+            if decay {
+                q = (-lrwd).mul_add(q, q);
             }
-            param[i] = p - a.lr * m_hat / (v_hat.sqrt() + a.eps);
+            *p = q - (a.lr * m_hat) / (v_hat.sqrt() + a.eps);
         }
+    }
+}
+
+/// Scalar-tier entry points for the kernels that use `mul_add`: on x86-64
+/// with FMA they run the same [`scalar`] source compiled for FMA, since a
+/// libm `fmaf` call per `mul_add` makes the scalar matmul ~35× slower.
+/// Both copies compute the same bits.
+mod scalar_fma {
+    use super::{scalar, AdamSliceArgs, MatRef, UnaryOp};
+
+    macro_rules! fma_entry_points {
+        ($($name:ident($($arg:ident: $ty:ty),*);)*) => {$(
+            #[inline]
+            pub(super) fn $name($($arg: $ty),*) {
+                /// The [`scalar`] kernel compiled for FMA.
+                ///
+                /// # Safety
+                ///
+                /// The CPU supports FMA.
+                #[cfg(target_arch = "x86_64")]
+                #[target_feature(enable = "fma")]
+                unsafe fn with_fma($($arg: $ty),*) {
+                    scalar::$name($($arg),*)
+                }
+                #[cfg(target_arch = "x86_64")]
+                if std::arch::is_x86_feature_detected!("fma") {
+                    // SAFETY: the CPU supports FMA, checked just above.
+                    return unsafe { with_fma($($arg),*) };
+                }
+                scalar::$name($($arg),*)
+            }
+        )*};
+    }
+
+    fma_entry_points! {
+        matmul_rows(a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32], row_offset: usize, k: usize, m: usize);
+        unary(op: UnaryOp, src: &[f32], out: &mut [f32]);
+        axpy(dst: &mut [f32], alpha: f32, src: &[f32]);
+        lerp(dst: &mut [f32], beta: f32, src: &[f32]);
+        adam_slice(param: &mut [f32], grad: &[f32], m: &mut [f32], v: &mut [f32], a: &AdamSliceArgs);
     }
 }
 
@@ -770,68 +913,32 @@ mod scalar {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    //! Explicit AVX2/FMA kernels. Every function here carries
+    //! Explicit AVX2/FMA kernels. Every kernel here carries
     //! `#[target_feature(enable = "avx2,fma")]` and is only reached after
-    //! runtime detection. Remainder loops mirror the vector body op for
-    //! op (`f32::mul_add` where the lanes use FMA, the polynomial `exp`
-    //! twin where the lanes use it), which is what makes results
-    //! independent of where a pool chunk or vector boundary falls.
+    //! runtime detection. The elements that do not fill a vector go to
+    //! the [`scalar`] tier's code for the same kernel, which computes the
+    //! chain of one lane; that is what makes results independent of the
+    //! tier and of where a pool chunk or vector boundary falls.
 
+    use super::scalar::{
+        self, EXP_HI, EXP_LO, EXP_P0, EXP_P1, EXP_P2, EXP_P3, EXP_P4, EXP_P5, KC, LN2_HI, LN2_LO,
+        LOG2E,
+    };
     use super::{AdamSliceArgs, Aligned, BinaryOp, MatRef, UnaryOp};
     use std::arch::x86_64::*;
 
     const LANES: usize = 8;
 
     // ------------------------------------------------------------------
-    // Polynomial exp (Cephes coefficients), vector + bit-exact scalar twin
+    // Polynomial exp (Cephes coefficients)
     // ------------------------------------------------------------------
 
-    const EXP_HI: f32 = 88.0;
-    const EXP_LO: f32 = -87.0;
-    const LOG2E: f32 = std::f32::consts::LOG2_E;
-    // Written digit-for-digit as Cephes publishes them; clippy's
-    // shorter spellings round to the same bits but obscure the source.
-    #[allow(clippy::excessive_precision)]
-    const LN2_HI: f32 = 0.693_359_375;
-    const LN2_LO: f32 = -2.121_944_4e-4;
-    const EXP_P0: f32 = 1.987_569_1e-4;
-    const EXP_P1: f32 = 1.398_199_9e-3;
-    const EXP_P2: f32 = 8.333_452e-3;
-    const EXP_P3: f32 = 4.166_579_6e-2;
-    const EXP_P4: f32 = 1.666_666_5e-1;
-    #[allow(clippy::excessive_precision)]
-    const EXP_P5: f32 = 5.000_000_2e-1;
-
-    /// Scalar twin of [`exp_v`]: the same clamp, range reduction,
-    /// polynomial and 2ᵏ scaling, with `mul_add` everywhere the vector
-    /// body uses FMA — bit-identical to one vector lane. NaN propagates
-    /// (the comparisons below are ordered, mirroring `minps`/`maxps`).
-    #[inline]
-    fn exp_lane(x: f32) -> f32 {
-        // minps(hi, x): hi < x ? hi : x  — NaN falls through as x.
-        let x = if EXP_HI < x { EXP_HI } else { x };
-        // maxps(lo, x): lo > x ? lo : x.
-        let x = if EXP_LO > x { EXP_LO } else { x };
-        let mut n = x.mul_add(LOG2E, 0.5).floor();
-        if n > 127.0 {
-            n = 127.0;
-        }
-        let r = (-n).mul_add(LN2_HI, x);
-        let r = (-n).mul_add(LN2_LO, r);
-        let z = r * r;
-        let mut p = EXP_P0;
-        p = p.mul_add(r, EXP_P1);
-        p = p.mul_add(r, EXP_P2);
-        p = p.mul_add(r, EXP_P3);
-        p = p.mul_add(r, EXP_P4);
-        p = p.mul_add(r, EXP_P5);
-        let y = p.mul_add(z, r) + 1.0;
-        let scale = f32::from_bits((((n as i32) + 127) << 23) as u32);
-        y * scale
-    }
-
     /// 8-lane polynomial `exp`. Each lane performs exactly the operation
-    /// chain of [`exp_lane`].
+    /// chain of [`scalar::exp_lane`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX2 and FMA.
     #[target_feature(enable = "avx2,fma")]
     unsafe fn exp_v(x: __m256) -> __m256 {
         let x = _mm256_min_ps(_mm256_set1_ps(EXP_HI), x);
@@ -864,8 +971,6 @@ mod avx2 {
     // ------------------------------------------------------------------
     // Matmul microkernel: packed-B strips, 6-row × 16-column FMA tiles
     // ------------------------------------------------------------------
-
-    use super::scalar::KC;
 
     /// Column width of one packed B strip: two `f32x8` registers.
     const NR: usize = 2 * LANES;
@@ -1192,12 +1297,12 @@ mod avx2 {
     }
 
     /// Column tail (`m % NR` rightmost columns) for one `k`-block and
-    /// every row: an 8-wide vector walk with a `mul_add` scalar
-    /// remainder, ascending `kk` like the tiles. `b` is read in place
-    /// when its columns are contiguous and otherwise first gathered into
-    /// `scratch` (which must hold `kb × (m − j0)` values). Shared with the
-    /// AVX-512 tier (identical chains at any lane width); `UNIT_K` as in
-    /// [`blocked`].
+    /// every row: an 8-wide vector walk, then [`scalar::fma_chain`] on
+    /// the last `m % 8` columns, ascending `kk` like the tiles. `b` is
+    /// read in place when its columns are contiguous and otherwise first
+    /// gathered into `scratch` (which must hold `kb × (m − j0)` values).
+    /// Shared with the AVX-512 tier (identical chains at any lane width);
+    /// `UNIT_K` as in [`blocked`].
     ///
     /// # Safety
     ///
@@ -1227,7 +1332,7 @@ mod avx2 {
         let (bt, bts) = if b.cs == 1 {
             (b.data.as_ptr().add(k0 * b.rs + j0), b.rs)
         } else {
-            debug_assert!(kb * w <= scratch.len());
+            assert!(kb * w <= scratch.len());
             gather_block(b, scratch.as_mut_ptr(), w, k0, kb, j0, w);
             (scratch.as_ptr(), w)
         };
@@ -1250,13 +1355,9 @@ mod avx2 {
                 _mm256_storeu_ps(op.add(o0 + j), c0);
                 j += LANES;
             }
-            while j < m {
-                let mut acc = *op.add(o0 + j);
-                for kk in 0..kb {
-                    acc = (*a0.add(kk * acs)).mul_add(*bt.add(kk * bts + j - j0), acc);
-                }
-                *op.add(o0 + j) = acc;
-                j += 1;
+            for j in j..m {
+                let (a_at, b_at) = (|kk| *a0.add(kk * acs), |kk| *bt.add(kk * bts + j - j0));
+                *op.add(o0 + j) = scalar::fma_chain(*op.add(o0 + j), kb, a_at, b_at);
             }
         }
     }
@@ -1265,12 +1366,15 @@ mod avx2 {
     // Elementwise kernels
     // ------------------------------------------------------------------
 
+    /// # Safety
+    ///
+    /// AVX2 + FMA CPU, `a` and `b` as long as `out` (the entry asserts it).
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn binary(op: BinaryOp, a: &[f32], b: &[f32], out: &mut [f32]) {
         let n = out.len();
         let (ap, bp, op_) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
         macro_rules! body {
-            ($vf:expr, $sf:expr) => {{
+            ($vf:expr) => {{
                 let mut i = 0;
                 while i + LANES <= n {
                     let x = _mm256_loadu_ps(ap.add(i));
@@ -1278,88 +1382,76 @@ mod avx2 {
                     _mm256_storeu_ps(op_.add(i), $vf(x, y));
                     i += LANES;
                 }
-                while i < n {
-                    *op_.add(i) = $sf(*ap.add(i), *bp.add(i));
-                    i += 1;
-                }
             }};
         }
         match op {
-            BinaryOp::Add => body!(|x, y| _mm256_add_ps(x, y), |x: f32, y: f32| x + y),
-            BinaryOp::Sub => body!(|x, y| _mm256_sub_ps(x, y), |x: f32, y: f32| x - y),
-            BinaryOp::Mul => body!(|x, y| _mm256_mul_ps(x, y), |x: f32, y: f32| x * y),
-            BinaryOp::Div => body!(|x, y| _mm256_div_ps(x, y), |x: f32, y: f32| x / y),
+            BinaryOp::Add => body!(|x, y| _mm256_add_ps(x, y)),
+            BinaryOp::Sub => body!(|x, y| _mm256_sub_ps(x, y)),
+            BinaryOp::Mul => body!(|x, y| _mm256_mul_ps(x, y)),
+            BinaryOp::Div => body!(|x, y| _mm256_div_ps(x, y)),
         }
+        let t = n - n % LANES;
+        scalar::binary(op, &a[t..], &b[t..], &mut out[t..]);
     }
 
+    /// # Safety
+    ///
+    /// AVX2 + FMA CPU, `src` as long as `out` (the entry asserts it).
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn unary(op: UnaryOp, src: &[f32], out: &mut [f32]) {
         let n = out.len();
         let (sp, op_) = (src.as_ptr(), out.as_mut_ptr());
         let sign = _mm256_set1_ps(-0.0);
         macro_rules! body {
-            ($vf:expr, $sf:expr) => {{
+            ($vf:expr) => {{
                 let mut i = 0;
                 while i + LANES <= n {
                     _mm256_storeu_ps(op_.add(i), $vf(_mm256_loadu_ps(sp.add(i))));
                     i += LANES;
-                }
-                while i < n {
-                    *op_.add(i) = $sf(*sp.add(i));
-                    i += 1;
                 }
             }};
         }
         match op {
             UnaryOp::Scale(alpha) => {
                 let va = _mm256_set1_ps(alpha);
-                body!(|x| _mm256_mul_ps(x, va), |x: f32| x * alpha)
+                body!(|x| _mm256_mul_ps(x, va))
             }
             UnaryOp::AddScalar(alpha) => {
                 let va = _mm256_set1_ps(alpha);
-                body!(|x| _mm256_add_ps(x, va), |x: f32| x + alpha)
+                body!(|x| _mm256_add_ps(x, va))
             }
-            UnaryOp::Neg => body!(|x| _mm256_xor_ps(x, sign), |x: f32| -x),
-            UnaryOp::Abs => body!(|x| _mm256_andnot_ps(sign, x), f32::abs),
-            UnaryOp::Square => body!(|x| _mm256_mul_ps(x, x), |x: f32| x * x),
-            UnaryOp::Sqrt => body!(|x| _mm256_sqrt_ps(x), f32::sqrt),
+            UnaryOp::Neg => body!(|x| _mm256_xor_ps(x, sign)),
+            UnaryOp::Abs => body!(|x| _mm256_andnot_ps(sign, x)),
+            UnaryOp::Square => body!(|x| _mm256_mul_ps(x, x)),
+            UnaryOp::Sqrt => body!(|x| _mm256_sqrt_ps(x)),
             UnaryOp::Relu => {
                 let zero = _mm256_setzero_ps();
-                // maxps(x, 0) returns 0 for NaN x, matching f32::max.
-                body!(|x| _mm256_max_ps(x, zero), |x: f32| x.max(0.0))
+                body!(|x| _mm256_max_ps(x, zero))
             }
-            UnaryOp::Exp => body!(|x| exp_v(x), exp_lane),
+            UnaryOp::Exp => body!(|x| exp_v(x)),
             UnaryOp::Sigmoid => {
                 let one = _mm256_set1_ps(1.0);
-                body!(
-                    |x| _mm256_div_ps(one, _mm256_add_ps(one, exp_v(_mm256_xor_ps(x, sign)))),
-                    |x: f32| 1.0 / (1.0 + exp_lane(-x))
-                )
+                body!(|x| _mm256_div_ps(one, _mm256_add_ps(one, exp_v(_mm256_xor_ps(x, sign)))))
             }
             UnaryOp::Silu => {
                 let one = _mm256_set1_ps(1.0);
-                body!(
-                    |x| _mm256_div_ps(x, _mm256_add_ps(one, exp_v(_mm256_xor_ps(x, sign)))),
-                    |x: f32| x / (1.0 + exp_lane(-x))
-                )
+                body!(|x| _mm256_div_ps(x, _mm256_add_ps(one, exp_v(_mm256_xor_ps(x, sign)))))
             }
             UnaryOp::SiluGrad => {
                 let one = _mm256_set1_ps(1.0);
-                body!(
-                    |x| {
-                        let s =
-                            _mm256_div_ps(one, _mm256_add_ps(one, exp_v(_mm256_xor_ps(x, sign))));
-                        _mm256_mul_ps(s, _mm256_fmadd_ps(x, _mm256_sub_ps(one, s), one))
-                    },
-                    |x: f32| {
-                        let s = 1.0 / (1.0 + exp_lane(-x));
-                        s * x.mul_add(1.0 - s, 1.0)
-                    }
-                )
+                body!(|x| {
+                    let s = _mm256_div_ps(one, _mm256_add_ps(one, exp_v(_mm256_xor_ps(x, sign))));
+                    _mm256_mul_ps(s, _mm256_fmadd_ps(x, _mm256_sub_ps(one, s), one))
+                })
             }
         }
+        let t = n - n % LANES;
+        scalar::unary(op, &src[t..], &mut out[t..]);
     }
 
+    /// # Safety
+    ///
+    /// AVX2 + FMA CPU, `src` as long as `dst` (the entry asserts it).
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn axpy(dst: &mut [f32], alpha: f32, src: &[f32]) {
         let n = dst.len();
@@ -1372,12 +1464,12 @@ mod avx2 {
             _mm256_storeu_ps(dp.add(i), _mm256_fmadd_ps(va, s, d));
             i += LANES;
         }
-        while i < n {
-            *dp.add(i) = alpha.mul_add(*sp.add(i), *dp.add(i));
-            i += 1;
-        }
+        scalar::axpy(&mut dst[i..], alpha, &src[i..]);
     }
 
+    /// # Safety
+    ///
+    /// The CPU supports AVX2 and FMA.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn scale_in_place(dst: &mut [f32], alpha: f32) {
         let n = dst.len();
@@ -1388,12 +1480,12 @@ mod avx2 {
             _mm256_storeu_ps(dp.add(i), _mm256_mul_ps(_mm256_loadu_ps(dp.add(i)), va));
             i += LANES;
         }
-        while i < n {
-            *dp.add(i) *= alpha;
-            i += 1;
-        }
+        scalar::scale_in_place(&mut dst[i..], alpha);
     }
 
+    /// # Safety
+    ///
+    /// AVX2 + FMA CPU, `src` as long as `dst` (the entry asserts it).
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn lerp(dst: &mut [f32], beta: f32, src: &[f32]) {
         let n = dst.len();
@@ -1404,17 +1496,16 @@ mod avx2 {
         while i + LANES <= n {
             let d = _mm256_loadu_ps(dp.add(i));
             let s = _mm256_loadu_ps(sp.add(i));
-            // beta*d + (1-beta)*s, both products fused in vector and tail.
+            // beta*d + (1-beta)*s, the first product fused.
             _mm256_storeu_ps(dp.add(i), _mm256_fmadd_ps(vb, d, _mm256_mul_ps(vob, s)));
             i += LANES;
         }
-        let ob = 1.0 - beta;
-        while i < n {
-            *dp.add(i) = beta.mul_add(*dp.add(i), ob * *sp.add(i));
-            i += 1;
-        }
+        scalar::lerp(&mut dst[i..], beta, &src[i..]);
     }
 
+    /// # Safety
+    ///
+    /// The CPU supports AVX2 and FMA.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn fill(dst: &mut [f32], value: f32) {
         let n = dst.len();
@@ -1425,10 +1516,7 @@ mod avx2 {
             _mm256_storeu_ps(dp.add(i), v);
             i += LANES;
         }
-        while i < n {
-            *dp.add(i) = value;
-            i += 1;
-        }
+        scalar::fill(&mut dst[i..], value);
     }
 
     // ------------------------------------------------------------------
@@ -1451,16 +1539,24 @@ mod avx2 {
                 _mm256_storeu_ps(op_.add(j), _mm256_add_ps(o, _mm256_loadu_ps(row.add(j))));
                 j += LANES;
             }
-            while j < w {
-                *op_.add(j) += *row.add(j);
-                j += 1;
-            }
+            // SAFETY: elements `j..w` of row `i` and of `out` are in bounds
+            // (as above); the `out` slice is derived from `op_`.
+            scalar::add_assign(
+                std::slice::from_raw_parts_mut(op_.add(j), w - j),
+                std::slice::from_raw_parts(row.add(j), w - j),
+            );
         }
     }
 
+    /// # Safety
+    ///
+    /// AVX2 + FMA CPU, `src` holds rows `..r0 + out.len()` (the entry
+    /// asserts it).
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn sum_axis1_rows(src: &[f32], m: usize, r0: usize, out: &mut [f32]) {
         for (local, o) in out.iter_mut().enumerate() {
+            // SAFETY: row `r0 + local` lies in `src` (the entry asserts
+            // `src` holds rows `..r0 + out.len()`).
             let row = src.as_ptr().add((r0 + local) * m);
             let mut acc = _mm256_setzero_ps();
             let mut j = 0;
@@ -1476,33 +1572,33 @@ mod avx2 {
             let sh = _mm_movehl_ps(q, q);
             let d = _mm_add_ps(q, sh);
             let sh2 = _mm_shuffle_ps(d, d, 0b01);
-            let mut s = _mm_cvtss_f32(_mm_add_ss(d, sh2));
-            while j < m {
-                s += *row.add(j);
-                j += 1;
-            }
-            *o = s;
+            let s = _mm_cvtss_f32(_mm_add_ss(d, sh2));
+            *o = scalar::add_in_order(s, std::slice::from_raw_parts(row.add(j), m - j));
         }
     }
 
+    /// # Safety
+    ///
+    /// The CPU supports AVX2 and FMA.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn gather_rows(src: &[f32], idx: &[usize], chunk: &mut [f32], m: usize) {
-        let (sp, cp) = (src.as_ptr(), chunk.as_mut_ptr());
-        for (local, &i) in idx.iter().enumerate() {
-            let s = sp.add(i * m);
-            let d = cp.add(local * m);
+        for (&i, orow) in idx.iter().zip(chunk.chunks_exact_mut(m)) {
+            let srow = &src[i * m..(i + 1) * m];
+            let (s, d) = (srow.as_ptr(), orow.as_mut_ptr());
             let mut j = 0;
             while j + LANES <= m {
                 _mm256_storeu_ps(d.add(j), _mm256_loadu_ps(s.add(j)));
                 j += LANES;
             }
-            while j < m {
-                *d.add(j) = *s.add(j);
-                j += 1;
+            if j < m {
+                orow[j..].copy_from_slice(&srow[j..]);
             }
         }
     }
 
+    /// # Safety
+    ///
+    /// The CPU supports AVX2 and FMA.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn scatter_add_rows(
         src: &[f32],
@@ -1512,21 +1608,18 @@ mod avx2 {
         r1: usize,
         m: usize,
     ) {
-        let (sp, cp) = (src.as_ptr(), chunk.as_mut_ptr());
         for (i, &t) in idx.iter().enumerate() {
             if t >= r0 && t < r1 {
-                let s = sp.add(i * m);
-                let d = cp.add((t - r0) * m);
+                let srow = &src[i * m..(i + 1) * m];
+                let drow = &mut chunk[(t - r0) * m..(t - r0 + 1) * m];
+                let (s, d) = (srow.as_ptr(), drow.as_mut_ptr());
                 let mut j = 0;
                 while j + LANES <= m {
                     let dv = _mm256_loadu_ps(d.add(j));
                     _mm256_storeu_ps(d.add(j), _mm256_add_ps(dv, _mm256_loadu_ps(s.add(j))));
                     j += LANES;
                 }
-                while j < m {
-                    *d.add(j) += *s.add(j);
-                    j += 1;
-                }
+                scalar::add_assign(&mut drow[j..], &srow[j..]);
             }
         }
     }
@@ -1535,6 +1628,10 @@ mod avx2 {
     // Fused Adam
     // ------------------------------------------------------------------
 
+    /// # Safety
+    ///
+    /// AVX2 + FMA CPU, `grad`, `m`, `v` as long as `param` (the entry
+    /// asserts it).
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn adam_slice(
         param: &mut [f32],
@@ -1582,22 +1679,7 @@ mod avx2 {
             _mm256_storeu_ps(pp.add(i), _mm256_sub_ps(p, upd));
             i += LANES;
         }
-        let (ob1, ob2, lrwd) = (1.0 - a.beta1, 1.0 - a.beta2, a.lr * a.weight_decay);
-        while i < n {
-            let g = *gp.add(i);
-            let mm = a.beta1.mul_add(*mp.add(i), ob1 * g);
-            let vv = a.beta2.mul_add(*vp.add(i), ob2 * (g * g));
-            *mp.add(i) = mm;
-            *vp.add(i) = vv;
-            let m_hat = mm / a.bc1;
-            let v_hat = vv / a.bc2;
-            let mut p = *pp.add(i);
-            if decay {
-                p = (-lrwd).mul_add(p, p);
-            }
-            *pp.add(i) = p - (a.lr * m_hat) / (v_hat.sqrt() + a.eps);
-            i += 1;
-        }
+        scalar::adam_slice(&mut param[i..], &grad[i..], &mut m[i..], &mut v[i..], a);
     }
 }
 
@@ -1906,13 +1988,6 @@ mod avx512 {
     }
 }
 
-// Non-x86 fallback: the dispatch macro never selects these modules, but
-// the names must resolve.
-#[cfg(not(target_arch = "x86_64"))]
-mod avx2 {}
-#[cfg(not(target_arch = "x86_64"))]
-mod avx512 {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1923,29 +1998,33 @@ mod tests {
         f()
     }
 
+    /// Every tier this CPU runs, Scalar first.
+    fn tiers() -> impl Iterator<Item = SimdTier> {
+        ALL_TIERS.into_iter().filter(|&t| t <= detected_tier())
+    }
+
+    const ALL_TIERS: [SimdTier; 3] = [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512];
+
+    fn row_major(data: &[f32], cols: usize) -> MatRef<'_> {
+        MatRef {
+            data,
+            rs: cols,
+            cs: 1,
+        }
+    }
+
     #[test]
     fn override_round_trips_and_clamps() {
-        with_tier(SimdTier::Scalar, || {
-            assert_eq!(active_tier(), SimdTier::Scalar);
-        });
-        with_tier(SimdTier::Avx2, || {
-            let t = active_tier();
-            if avx2_available() {
-                assert_eq!(t, SimdTier::Avx2);
-            } else {
-                assert_eq!(t, SimdTier::Scalar);
-            }
-        });
-        with_tier(SimdTier::Avx512, || {
-            let t = active_tier();
-            if avx512_available() {
-                assert_eq!(t, SimdTier::Avx512);
-            } else if avx2_available() {
-                assert_eq!(t, SimdTier::Avx2);
-            } else {
-                assert_eq!(t, SimdTier::Scalar);
-            }
-        });
+        let best = if avx512_available() {
+            SimdTier::Avx512
+        } else if avx2_available() {
+            SimdTier::Avx2
+        } else {
+            SimdTier::Scalar
+        };
+        for tier in ALL_TIERS {
+            assert_eq!(with_tier(tier, active_tier), tier.min(best));
+        }
     }
 
     #[test]
@@ -1958,16 +2037,7 @@ mod tests {
         for (n, k, m) in [(13, 40, 37), (9, 300, 64), (70, 129, 50)] {
             let a: Vec<f32> = (0..n * k).map(|i| (i as f32 * 0.13).sin()).collect();
             let b: Vec<f32> = (0..k * m).map(|i| (i as f32 * 0.07).cos()).collect();
-            let a = MatRef {
-                data: &a,
-                rs: k,
-                cs: 1,
-            };
-            let b = MatRef {
-                data: &b,
-                rs: m,
-                cs: 1,
-            };
+            let (a, b) = (row_major(&a, k), row_major(&b, m));
             let mut x2 = vec![0.0; n * m];
             let mut x5 = vec![0.0; n * m];
             with_tier(SimdTier::Avx2, || matmul_rows(a, b, &mut x2, 0, k, m));
@@ -1976,76 +2046,99 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lane_exact_ops_are_bitwise_equal_across_tiers() {
-        if !avx2_available() {
-            return;
-        }
-        let a: Vec<f32> = (0..1003).map(|i| (i as f32 * 0.37).sin() * 8.0).collect();
-        let b: Vec<f32> = (0..1003)
-            .map(|i| (i as f32 * 0.11).cos() * 3.0 + 0.5)
-            .collect();
-        for op in [BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div] {
-            let mut s = vec![0.0; a.len()];
-            let mut x = vec![0.0; a.len()];
-            with_tier(SimdTier::Scalar, || binary(op, &a, &b, &mut s));
-            with_tier(SimdTier::Avx2, || binary(op, &a, &b, &mut x));
-            assert_eq!(bits(&s), bits(&x), "{op:?} diverged across tiers");
-        }
-        for op in [
-            UnaryOp::Scale(1.7),
-            UnaryOp::AddScalar(-0.3),
-            UnaryOp::Neg,
-            UnaryOp::Abs,
-            UnaryOp::Square,
-            UnaryOp::Relu,
-        ] {
-            let mut s = vec![0.0; a.len()];
-            let mut x = vec![0.0; a.len()];
-            with_tier(SimdTier::Scalar, || unary(op, &a, &mut s));
-            with_tier(SimdTier::Avx2, || unary(op, &a, &mut x));
-            assert_eq!(bits(&s), bits(&x), "{op:?} diverged across tiers");
-        }
-    }
-
+    /// The `exp` family is the Cephes polynomial on every tier; this is
+    /// its accuracy check against libm.
     #[test]
     fn polynomial_exp_family_matches_libm_tightly() {
-        if !avx2_available() {
-            return;
-        }
         let xs: Vec<f32> = (-8000..8000).map(|i| i as f32 * 1e-2).collect();
-        for op in [
-            UnaryOp::Exp,
-            UnaryOp::Sigmoid,
-            UnaryOp::Silu,
-            UnaryOp::SiluGrad,
-        ] {
-            let mut reference = vec![0.0; xs.len()];
-            let mut poly = vec![0.0; xs.len()];
-            with_tier(SimdTier::Scalar, || unary(op, &xs, &mut reference));
-            with_tier(SimdTier::Avx2, || unary(op, &xs, &mut poly));
-            for ((&x, &r), &p) in xs.iter().zip(&reference).zip(&poly) {
-                let tol = 1e-6 + 4e-6 * r.abs().max(1.0);
-                assert!(
-                    (r - p).abs() <= tol || (r - p).abs() <= 4e-6 * r.abs(),
-                    "{op:?}({x}) = {r} (libm) vs {p} (poly)"
-                );
+        let libm = |op: UnaryOp, x: f32| {
+            let s = 1.0 / (1.0 + (-x).exp());
+            match op {
+                UnaryOp::Exp => x.exp(),
+                UnaryOp::Sigmoid => s,
+                UnaryOp::Silu => x / (1.0 + (-x).exp()),
+                _ => s * (1.0 + x * (1.0 - s)),
+            }
+        };
+        for tier in tiers() {
+            for op in [
+                UnaryOp::Exp,
+                UnaryOp::Sigmoid,
+                UnaryOp::Silu,
+                UnaryOp::SiluGrad,
+            ] {
+                let mut poly = vec![0.0; xs.len()];
+                with_tier(tier, || unary(op, &xs, &mut poly));
+                for (&x, &p) in xs.iter().zip(&poly) {
+                    let r = libm(op, x);
+                    let tol = 1e-6 + 4e-6 * r.abs().max(1.0);
+                    assert!(
+                        (r - p).abs() <= tol || (r - p).abs() <= 4e-6 * r.abs(),
+                        "{op:?}({x}) = {r} (libm) vs {p} (poly, {tier})"
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn exp_family_propagates_nan_and_underflows_to_zero() {
-        if !avx2_available() {
-            return;
-        }
         let xs = [f32::NAN, -200.0, 200.0, 0.0];
-        let mut out = vec![0.0; xs.len()];
-        with_tier(SimdTier::Avx2, || unary(UnaryOp::Exp, &xs, &mut out));
-        assert!(out[0].is_nan(), "exp(NaN) must stay NaN, got {}", out[0]);
-        assert!(out[1] < 1e-30, "exp(-200) must be ~0, got {}", out[1]);
-        assert!(out[2] > 1e30, "exp(200) must be huge, got {}", out[2]);
-        assert_eq!(out[3], 1.0);
+        for tier in tiers() {
+            let mut out = vec![0.0; xs.len()];
+            with_tier(tier, || unary(UnaryOp::Exp, &xs, &mut out));
+            assert!(
+                out[0].is_nan(),
+                "{tier}: exp(NaN) must stay NaN, got {}",
+                out[0]
+            );
+            assert!(
+                out[1] < 1e-30,
+                "{tier}: exp(-200) must be ~0, got {}",
+                out[1]
+            );
+            assert!(
+                out[2] > 1e30,
+                "{tier}: exp(200) must be huge, got {}",
+                out[2]
+            );
+            assert_eq!(out[3], 1.0);
+        }
+    }
+
+    /// The scalar kernels that use `mul_add` run FMA-compiled on CPUs
+    /// with FMA. Called directly, `scalar` is the portable build (libm
+    /// `fmaf`), the path of CPUs without FMA: both must give the same bits.
+    #[test]
+    fn portable_scalar_kernels_match_the_fma_compiled_ones() {
+        let a: Vec<f32> = (0..37 * 29)
+            .map(|i| (i as f32 * 0.37).sin() * 3.0)
+            .collect();
+        let view = |cols| row_major(&a, cols);
+        let args = AdamSliceArgs {
+            beta1: 0.9,
+            beta2: 0.999,
+            bc1: 0.19,
+            bc2: 0.002,
+            lr: 1e-3,
+            eps: 1e-8,
+            weight_decay: 0.01,
+        };
+        macro_rules! outputs {
+            ($kernels:ident) => {{
+                let mut mm = vec![0.0; 37 * 23];
+                $kernels::matmul_rows(view(29), view(23), &mut mm, 0, 29, 23);
+                let mut g = vec![0.0; a.len()];
+                $kernels::unary(UnaryOp::SiluGrad, &a, &mut g);
+                let (mut ax, mut lp, mut p) = (a.clone(), a.clone(), a.clone());
+                let (mut m, mut v) = (vec![0.1; a.len()], vec![0.2; a.len()]);
+                $kernels::axpy(&mut ax, 0.37, &g);
+                $kernels::lerp(&mut lp, 0.9, &g);
+                $kernels::adam_slice(&mut p, &g, &mut m, &mut v, &args);
+                [mm, g, ax, lp, p, m, v].map(|o| bits(&o))
+            }};
+        }
+        assert_eq!(outputs!(scalar), outputs!(scalar_fma));
     }
 
     #[test]

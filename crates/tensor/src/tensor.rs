@@ -358,9 +358,8 @@ impl Tensor {
     }
 
     /// Shared plumbing for the named unary ops: dispatches the [`simd`]
-    /// unary kernel, layered under the pool for large tensors. Elementwise
-    /// (pool-size invariant within a tier); the `exp`-family ops differ
-    /// from the scalar tier by ≈1 ulp on AVX2, everything else is bitwise
+    /// unary kernel, layered under the pool for large tensors. Elementwise,
+    /// so bitwise invariant to pool size; like every kernel, bitwise
     /// identical across tiers.
     fn unary_op(&self, op: simd::UnaryOp) -> Tensor {
         let mut data = zeroed(self.numel());
@@ -551,11 +550,11 @@ impl Tensor {
     /// Matrix product `self × other` for `[n,k] × [k,m]`.
     ///
     /// Runs the cache-blocked [`simd::matmul_rows`] microkernel (FMA
-    /// register tiles on the AVX2 tier, the portable blocked loop on the
-    /// scalar tier); large products are split by row blocks across the
-    /// persistent worker [`pool`] (bitwise identical to the serial path —
-    /// see the pool docs), small ones run serially to avoid dispatch
-    /// overhead.
+    /// register tiles on the vector tiers, the portable blocked `mul_add`
+    /// loop on the scalar tier, the same bits on all); large products are
+    /// split by row blocks across the persistent worker [`pool`] (bitwise
+    /// identical to the serial path — see the pool docs), small ones run
+    /// serially to avoid dispatch overhead.
     ///
     /// # Panics
     ///
@@ -573,7 +572,7 @@ impl Tensor {
     /// the transposed operand is `self`'s buffer with row and column
     /// strides swapped and no transposed copy is made. Every element keeps
     /// the ascending-`k` chain of `self.transpose().matmul(other)`, so the
-    /// two are bitwise identical within a tier.
+    /// two are bitwise identical.
     ///
     /// # Panics
     ///
@@ -594,8 +593,7 @@ impl Tensor {
     /// The microkernel packs `otherᵀ` straight from `other` (its B panel
     /// is a copy anyway, so the pack does the transpose) and no transposed
     /// copy is made. Every element keeps the ascending-`k` chain of
-    /// `self.matmul(&other.transpose())`, so the two are bitwise identical
-    /// within a tier.
+    /// `self.matmul(&other.transpose())`, so the two are bitwise identical.
     ///
     /// # Panics
     ///

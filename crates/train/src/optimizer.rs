@@ -43,10 +43,10 @@ impl Default for AdamHyper {
 ///
 /// Exposed so ZeRO sharding can update only the slice a rank owns. Large
 /// parameters are split across the worker pool by element range, and the
-/// update itself runs in the fused [`simd::adam_slice`] kernel (FMA on the
-/// AVX2 tier, the legacy loop verbatim on the scalar tier). It is purely
-/// elementwise, so within a tier the result is bitwise identical to the
-/// serial path at any thread count.
+/// update itself runs in the fused [`simd::adam_slice`] kernel, whose
+/// moment updates are fused multiply-adds on every SIMD tier. It is purely
+/// elementwise, so the result is bitwise identical to the serial path at
+/// any thread count and on any tier.
 ///
 /// # Panics
 ///
