@@ -2046,6 +2046,37 @@ mod tests {
         }
     }
 
+    #[test]
+    fn lane_exact_ops_are_bitwise_equal_across_tiers() {
+        let a: Vec<f32> = (0..1003).map(|i| (i as f32 * 0.37).sin() * 8.0).collect();
+        let b: Vec<f32> = (0..1003)
+            .map(|i| (i as f32 * 0.11).cos() * 3.0 + 0.5)
+            .collect();
+        for tier in tiers() {
+            for op in [BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div] {
+                let mut s = vec![0.0; a.len()];
+                let mut x = vec![0.0; a.len()];
+                with_tier(SimdTier::Scalar, || binary(op, &a, &b, &mut s));
+                with_tier(tier, || binary(op, &a, &b, &mut x));
+                assert_eq!(bits(&s), bits(&x), "{op:?} diverged on {tier}");
+            }
+            for op in [
+                UnaryOp::Scale(1.7),
+                UnaryOp::AddScalar(-0.3),
+                UnaryOp::Neg,
+                UnaryOp::Abs,
+                UnaryOp::Square,
+                UnaryOp::Relu,
+            ] {
+                let mut s = vec![0.0; a.len()];
+                let mut x = vec![0.0; a.len()];
+                with_tier(SimdTier::Scalar, || unary(op, &a, &mut s));
+                with_tier(tier, || unary(op, &a, &mut x));
+                assert_eq!(bits(&s), bits(&x), "{op:?} diverged on {tier}");
+            }
+        }
+    }
+
     /// The `exp` family is the Cephes polynomial on every tier; this is
     /// its accuracy check against libm.
     #[test]

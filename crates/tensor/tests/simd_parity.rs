@@ -1,9 +1,10 @@
 //! Cross-tier parity contracts for the SIMD compute tiers:
 //!
-//! 1. **Every kernel is bitwise identical across tiers** — the scalar
-//!    tier computes each element with the chain a vector lane runs, so no
-//!    kernel needs a tolerance; gradients still pass gradcheck on every
-//!    tier.
+//! 1. **Every kernel is bitwise identical across tiers** — lane-exact
+//!    kernels trivially, and the FMA / polynomial-`exp` kernels because
+//!    the scalar tier computes each element with the chain a vector lane
+//!    runs, so no kernel needs a tolerance; gradients still pass
+//!    gradcheck on every tier.
 //! 2. **Results are bitwise invariant to pool size** {1, 2, 4} on every
 //!    tier.
 //! 3. **Operand strides are bit-neutral** — `matmul_tn` / `matmul_nt`
@@ -46,15 +47,63 @@ fn fixtures() -> (Tensor, Tensor, Tensor, Vec<usize>) {
     (a, b, edges, idx)
 }
 
+/// Asserts every tier this host runs returns the scalar tier's bits for
+/// each named output of `run`.
+fn assert_bitwise_across_tiers<const N: usize>(run: impl Fn() -> [(&'static str, Tensor); N]) {
+    let reference = with_tier(simd::SimdTier::Scalar, &run);
+    for tier in tiers() {
+        let got = with_tier(tier, &run);
+        for ((name, r), (_, g)) in reference.iter().zip(got.iter()) {
+            assert_eq!(
+                bits(r),
+                bits(g),
+                "{name} diverged from the scalar tier on {tier}"
+            );
+        }
+    }
+}
+
+/// Kernels that perform one IEEE operation per element (or move data)
+/// on every tier.
 #[test]
-fn every_kernel_bitwise_identical_across_tiers() {
+fn lane_exact_kernels_bitwise_identical_across_tiers() {
     let (a, b, edges, idx) = fixtures();
     let bt = b.transpose();
-    let run = || {
+    assert_bitwise_across_tiers(|| {
         let mut filled = Tensor::zeros((83, 117));
         filled.fill(0.625);
         let mut scaled = a.clone();
         scaled.scale_in_place(1.5);
+        [
+            ("add", a.add(&bt)),
+            ("sub", a.sub(&bt)),
+            ("mul", a.mul(&bt)),
+            ("div", a.div(&bt.abs().add_scalar(0.5))),
+            ("scale", a.scale(-2.25)),
+            ("add_scalar", a.add_scalar(0.3)),
+            ("neg", a.neg()),
+            ("square", a.square()),
+            ("abs_sqrt", a.abs().sqrt()),
+            ("relu", a.relu()),
+            ("transpose", a.transpose()),
+            ("sum_axis0", a.sum_axis0()),
+            ("gather_rows", edges.gather_rows(&idx)),
+            ("scatter_add_rows", edges.scatter_add_rows(&idx, 61)),
+            ("fill", filled),
+            ("scale_in_place", scaled),
+        ]
+    });
+}
+
+/// The FMA, polynomial-`exp` and 8-accumulator kernels. These once
+/// agreed across tiers only to a tolerance; the scalar tier now runs the
+/// vector lane's chain, so the tolerance is zero: they must match bit for
+/// bit.
+#[test]
+fn fma_and_exp_kernels_agree_across_tiers_to_tolerance() {
+    let (a, b, _, _) = fixtures();
+    let bt = b.transpose();
+    assert_bitwise_across_tiers(|| {
         let mut ax = a.clone();
         ax.axpy(0.37, &a);
         let mut lp = a.clone();
@@ -74,27 +123,11 @@ fn every_kernel_bitwise_identical_across_tiers() {
         };
         simd::adam_slice(p.data_mut(), bt.data(), m.data_mut(), v.data_mut(), &args);
         [
-            ("add", a.add(&bt)),
-            ("sub", a.sub(&bt)),
-            ("mul", a.mul(&bt)),
-            ("div", a.div(&bt.abs().add_scalar(0.5))),
-            ("scale", a.scale(-2.25)),
-            ("add_scalar", a.add_scalar(0.3)),
-            ("neg", a.neg()),
-            ("square", a.square()),
-            ("abs_sqrt", a.abs().sqrt()),
-            ("relu", a.relu()),
             ("exp", a.scale(0.1).exp()),
             ("sigmoid", a.sigmoid()),
             ("silu", a.silu()),
             ("silu_grad", silu_grad),
-            ("transpose", a.transpose()),
-            ("sum_axis0", a.sum_axis0()),
             ("sum_axis1", a.sum_axis1()),
-            ("gather_rows", edges.gather_rows(&idx)),
-            ("scatter_add_rows", edges.scatter_add_rows(&idx, 61)),
-            ("fill", filled),
-            ("scale_in_place", scaled),
             ("axpy", ax),
             ("lerp", lp),
             ("adam_param", p),
@@ -104,18 +137,7 @@ fn every_kernel_bitwise_identical_across_tiers() {
             ("matmul_tn", a.transpose().matmul_tn(&b)),
             ("matmul_nt", a.matmul_nt(&bt)),
         ]
-    };
-    let reference = with_tier(simd::SimdTier::Scalar, run);
-    for tier in tiers() {
-        let got = with_tier(tier, run);
-        for ((name, r), (_, g)) in reference.iter().zip(got.iter()) {
-            assert_eq!(
-                bits(r),
-                bits(g),
-                "{name} diverged from the scalar tier on {tier}"
-            );
-        }
-    }
+    });
 }
 
 /// The two vector tiers share every kernel except the matmul, and the

@@ -31,26 +31,47 @@ fn losses_once(tier: simd::SimdTier, threads: usize) -> Vec<f64> {
         .collect()
 }
 
-#[test]
-fn training_losses_bitwise_identical_across_tiers_and_pool_sizes() {
+fn bits(losses: Vec<f64>) -> Vec<u64> {
+    losses.iter().map(|l| l.to_bits()).collect()
+}
+
+/// Every tier this host runs, Scalar first.
+fn tiers() -> impl Iterator<Item = simd::SimdTier> {
     use simd::SimdTier::{Avx2, Avx512, Scalar};
-    let bits = |losses: Vec<f64>| -> Vec<u64> { losses.iter().map(|l| l.to_bits()).collect() };
-    let scalar = losses_once(Scalar, 1);
+    let hardware = Runtime::hardware().simd;
+    [Scalar, Avx2, Avx512]
+        .into_iter()
+        .filter(move |&t| t <= hardware)
+}
+
+/// At pool 1, every tier's losses equal the scalar tier's bit for bit.
+#[test]
+fn training_trajectory_matches_across_simd_tiers() {
+    let scalar = losses_once(simd::SimdTier::Scalar, 1);
     assert!(
         scalar.iter().all(|l| l.is_finite()),
         "scalar-tier run produced non-finite losses: {scalar:?}"
     );
     let reference = bits(scalar);
-    let hardware = Runtime::hardware().simd;
-    for tier in [Scalar, Avx2, Avx512]
-        .into_iter()
-        .filter(|&t| t <= hardware)
-    {
-        for threads in [1usize, 2, 4] {
+    for tier in tiers().skip(1) {
+        assert_eq!(
+            reference,
+            bits(losses_once(tier, 1)),
+            "training losses on {tier} differ from the scalar tier"
+        );
+    }
+}
+
+/// On every tier, pools of 2 and 4 give the pool-of-1 losses bit for bit.
+#[test]
+fn training_bitwise_invariant_to_pool_size_within_each_tier() {
+    for tier in tiers() {
+        let reference = bits(losses_once(tier, 1));
+        for threads in [2usize, 4] {
             assert_eq!(
                 reference,
                 bits(losses_once(tier, threads)),
-                "training losses on {tier} at pool {threads} differ from scalar at pool 1"
+                "{tier}: training losses changed between pool-of-1 and pool-of-{threads}"
             );
         }
     }
