@@ -7,10 +7,10 @@
 //!
 //! Run: `cargo run --release -p matgnn-bench -- fig4 [--quick|--full]`
 
-use matgnn::data::{Dataset, Normalizer};
 use matgnn::model::{Egnn, EgnnConfig};
+use matgnn::scaling::sweep::{self, train_and_evaluate, Sweep};
 use matgnn::scaling::{format_params, format_tb, run_scaling_grid};
-use matgnn::train::{evaluate_per_source, Trainer};
+use matgnn::train::evaluate_per_source;
 use matgnn_bench::{csv_row, RunMode};
 
 pub const TITLE: &str = "Fig. 4: test loss vs dataset size across model sizes";
@@ -60,31 +60,20 @@ pub fn run(mode: RunMode) -> bool {
     // ratio isolates what the bias costs each source.
     println!("\nper-source cost of the biased 0.1 TB subset (vs equal-size stratified):");
     {
-        let gen = cfg.generator();
-        let aggregate = Dataset::generate_aggregate(cfg.units.aggregate_graphs(), cfg.seed, &gen);
-        let (train_full, test) = aggregate.split_test(cfg.test_fraction, cfg.seed ^ 0xBEEF);
-        let normalizer = Normalizer::fit(&train_full);
-        let biased = train_full.subsample_tb(0.1, cfg.seed ^ 0xDA7A);
+        let sweep = Sweep::prepare(&cfg);
+        let biased = sweep.subset(0.1);
         // Equal-size stratified subset.
-        let keep_frac = biased.len() as f64 / train_full.len() as f64;
-        let (stratified, _) = train_full.split_test(1.0 - keep_frac, cfg.seed ^ 0x57A7);
+        let keep_frac = biased.len() as f64 / sweep.train.len() as f64;
+        let (stratified, _) = sweep.train.split_test(1.0 - keep_frac, cfg.seed ^ 0x57A7);
         let size = *cfg.model_sizes.last().expect("sizes");
-        let train_one = |subset: &Dataset| {
-            let mut model =
-                Egnn::new(EgnnConfig::with_target_params(size, cfg.n_layers).with_seed(cfg.seed));
-            let steps = subset.len().div_ceil(cfg.batch_size);
-            let trainer = Trainer::new(cfg.train_config(steps));
-            let _ = trainer.fit(&mut model, subset, None, &normalizer);
-            evaluate_per_source(
-                &model,
-                &test,
-                &normalizer,
-                &trainer.config().loss,
-                cfg.batch_size,
-            )
-        };
-        let on_biased = train_one(&biased);
-        let on_stratified = train_one(&stratified);
+        let model_cfg = EgnnConfig::with_target_params(size, cfg.n_layers).with_seed(cfg.seed);
+        let per_source = sweep::run(&[biased, stratified], |subset| {
+            let tc = cfg.train_config(subset.len().div_ceil(cfg.batch_size));
+            let (test, norm) = (&sweep.test, &sweep.normalizer);
+            let (model, ..) = train_and_evaluate(Egnn::new(model_cfg), subset, test, tc, norm);
+            evaluate_per_source(&model, test, norm, &tc.loss, cfg.batch_size)
+        });
+        let (on_biased, on_stratified) = (&per_source[0], &per_source[1]);
         println!(
             "  {:<12} {:>10} {:>12} {:>8}",
             "source", "biased", "stratified", "ratio"

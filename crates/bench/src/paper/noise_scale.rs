@@ -7,6 +7,7 @@
 //! Run: `cargo run --release -p matgnn-bench -- noise_scale [--quick|--full]`
 
 use matgnn::prelude::*;
+use matgnn::scaling::sweep::Sweep;
 use matgnn::train::estimate_noise_scale;
 use matgnn_bench::{csv_row, RunMode};
 
@@ -15,12 +16,9 @@ pub const TITLE: &str = "Gradient noise scale: critical batch size for GNN train
 pub fn run(mode: RunMode) -> bool {
     let cfg = mode.experiment_config();
 
-    let gen = cfg.generator();
-    let n_graphs = cfg.units.aggregate_graphs();
-    println!("\npreparing {n_graphs} graphs…");
-    let aggregate = Dataset::generate_aggregate(n_graphs, cfg.seed, &gen);
-    let (train, _) = aggregate.split_test(cfg.test_fraction, cfg.seed ^ 0xBEEF);
-    let norm = Normalizer::fit(&train);
+    println!("\npreparing {} graphs…", cfg.units.aggregate_graphs());
+    let sweep = Sweep::prepare(&cfg);
+    let (train, norm) = (&sweep.train, &sweep.normalizer);
     let size = cfg.model_sizes[cfg.model_sizes.len() / 2];
     let mut model =
         Egnn::new(EgnnConfig::with_target_params(size, cfg.n_layers).with_seed(cfg.seed));
@@ -49,13 +47,13 @@ pub fn run(mode: RunMode) -> bool {
                 seed: cfg.seed ^ trained as u64,
                 ..Default::default()
             };
-            let _ = Trainer::new(tc).fit(&mut model, &train, None, &norm);
+            let _ = Trainer::new(tc).fit(&mut model, train, None, norm);
             trained += 1;
         }
         let est = estimate_noise_scale(
             &model,
-            &train,
-            &norm,
+            train,
+            norm,
             &loss_cfg,
             b_small,
             b_big,

@@ -2,9 +2,10 @@
 //! training, after HydraGNN-GFM's near-linear scaling claim (paper
 //! Sec. II-B).
 //!
-//! On this substrate ranks share one CPU core, so the *measured* curve is
-//! flat by construction; the *modeled* curve combines measured single-rank
-//! compute with the ring-all-reduce interconnect cost model.
+//! Ranks are threads sharing the host's cores, so the *measured* curve
+//! stops rising once ranks outnumber cores; the *modeled* curve combines
+//! measured single-rank compute with the ring-all-reduce interconnect cost
+//! model.
 //!
 //! Run: `cargo run --release -p matgnn-bench -- strong_scaling [--quick|--full]`
 
@@ -41,7 +42,7 @@ pub fn run(mode: RunMode) -> bool {
             p.world, p.modeled_graphs_per_s, p.modeled_efficiency, p.measured_graphs_per_s
         )]);
     }
-    println!("\n* measured ranks are time-sliced on one CPU core — flat by construction.");
+    println!("\n* measured ranks time-slice the host's cores: the curve stops rising past the core count.");
 
     println!("\nshape checks vs HydraGNN-GFM's claim:");
     let ok = points

@@ -7,8 +7,9 @@
 use matgnn_data::{Dataset, Normalizer};
 use matgnn_graph::GraphBatch;
 use matgnn_model::{Egnn, EgnnConfig, GnnModel};
-use matgnn_train::{evaluate, LrSchedule, Trainer};
+use matgnn_train::{LrSchedule, TrainConfig};
 
+use super::sweep::{run, train_and_evaluate, Sweep};
 use crate::ExperimentConfig;
 
 /// One ablation outcome.
@@ -29,81 +30,65 @@ pub struct AblationResult {
 
 /// Runs the ablation suite; results are grouped by `group`.
 pub fn run_ablations(cfg: &ExperimentConfig) -> Vec<AblationResult> {
-    let gen = cfg.generator();
-    let n_graphs = cfg.units.aggregate_graphs();
-    cfg.progress(&format!(
-        "ablations: generating aggregate of {n_graphs} graphs"
-    ));
-    let aggregate = Dataset::generate_aggregate(n_graphs, cfg.seed, &gen);
-    let (train, test) = aggregate.split_test(cfg.test_fraction, cfg.seed ^ 0xBEEF);
-    let normalizer = Normalizer::fit(&train);
-    let steps_per_epoch = train.len().div_ceil(cfg.batch_size);
+    let sweep = Sweep::prepare(cfg);
+    let (train, test, shared) = (&sweep.train, &sweep.test, &sweep.normalizer);
+    let per_source = Normalizer::fit_per_source(train);
+    let tc = cfg.train_config(train.len().div_ceil(cfg.batch_size));
+    let constant = TrainConfig {
+        schedule: LrSchedule::Constant,
+        ..tc
+    };
 
-    let mut results = Vec::new();
-    let mut run = |group: &str,
-                   variant: &str,
-                   config: EgnnConfig,
-                   schedule: Option<LrSchedule>,
-                   norm: &Normalizer| {
-        let mut tc = cfg.train_config(steps_per_epoch);
-        if let Some(s) = schedule {
-            tc.schedule = s;
-        }
-        let mut model = Egnn::new(config);
-        let _ = Trainer::new(tc).fit(&mut model, &train, None, norm);
-        let m = evaluate(&model, &test, norm, &tc.loss, cfg.batch_size);
+    // Residual feature updates and LayerNorm at depth 6 (over-smoothing
+    // mitigation; LayerNorm is the LLM-lineage stabilizer for deep GNNs).
+    let base6 =
+        EgnnConfig::new(EgnnConfig::with_target_params(2_000, 3).hidden_dim, 6).with_seed(cfg.seed);
+    let res6 = base6.with_residual(true);
+    let norm6 = res6.with_layer_norm(true);
+    // Edge gating, RBF distance featurization vs raw ‖r‖², the LLM-style
+    // schedule vs constant LR, and shared vs per-source normalization of
+    // multi-fidelity labels, all at the medium width.
+    let med = EgnnConfig::with_target_params(5_000, 3).with_seed(cfg.seed);
+    let variants: [(&str, &str, EgnnConfig, TrainConfig, &Normalizer); 12] = [
+        ("residual@depth6", "off", base6, tc, shared),
+        ("residual@depth6", "on", res6, tc, shared),
+        ("layernorm@depth6", "off", res6, tc, shared),
+        ("layernorm@depth6", "on", norm6, tc, shared),
+        ("edge-gate", "off", med, tc, shared),
+        ("edge-gate", "on", med.with_edge_gate(true), tc, shared),
+        ("rbf", "raw-dist2", med, tc, shared),
+        ("rbf", "gaussian-16", med.with_rbf(16), tc, shared),
+        ("lr-schedule", "warmup-cosine", med, tc, shared),
+        ("lr-schedule", "constant", med, constant, shared),
+        ("normalization", "shared", med, tc, shared),
+        ("normalization", "per-source", med, tc, &per_source),
+    ];
+    let trained = run(&variants, |&(group, variant, config, tc, norm)| {
+        let (model, _, m) = train_and_evaluate(Egnn::new(config), train, test, tc, norm);
         cfg.progress(&format!(
             "ablation {group}/{variant}: test loss {:.4}, force MAE {:.4}",
             m.loss, m.force_mae
         ));
-        results.push(AblationResult {
+        (model, m)
+    });
+    let mut results: Vec<AblationResult> = variants
+        .iter()
+        .zip(&trained)
+        .map(|(&(group, variant, ..), (model, m))| AblationResult {
             group: group.to_string(),
             variant: variant.to_string(),
             test_loss: m.loss,
             force_mae: m.force_mae,
             actual_params: model.params().n_scalars(),
-        });
-        (model, m)
-    };
-
-    // Residual feature updates at depth 6 (over-smoothing mitigation).
-    let base6 =
-        EgnnConfig::new(EgnnConfig::with_target_params(2_000, 3).hidden_dim, 6).with_seed(cfg.seed);
-    let res6 = base6.with_residual(true);
-    run("residual@depth6", "off", base6, None, &normalizer);
-    run("residual@depth6", "on", res6, None, &normalizer);
-
-    // LayerNorm at depth 6 — the LLM-lineage stabilizer for deep GNNs.
-    run("layernorm@depth6", "off", res6, None, &normalizer);
-    let norm6 = res6.with_layer_norm(true);
-    run("layernorm@depth6", "on", norm6, None, &normalizer);
-
-    // Edge gating at the medium width.
-    let med = EgnnConfig::with_target_params(5_000, 3).with_seed(cfg.seed);
-    run("edge-gate", "off", med, None, &normalizer);
-    let gated = med.with_edge_gate(true);
-    run("edge-gate", "on", gated, None, &normalizer);
-
-    // RBF distance featurization vs raw ‖r‖².
-    run("rbf", "raw-dist2", med, None, &normalizer);
-    run("rbf", "gaussian-16", med.with_rbf(16), None, &normalizer);
-
-    // LLM-style schedule vs constant LR.
-    run("lr-schedule", "warmup-cosine", med, None, &normalizer);
-    let constant = Some(LrSchedule::Constant);
-    run("lr-schedule", "constant", med, constant, &normalizer);
-
-    // Multi-fidelity label handling: shared vs per-source normalization.
-    let (model, direct) = run("normalization", "shared", med, None, &normalizer);
-    let per_source = Normalizer::fit_per_source(&train);
-    run("normalization", "per-source", med, None, &per_source);
-    #[allow(clippy::drop_non_drop)] // ends the closure's &mut borrow of `results`
-    drop(run);
+        })
+        .collect();
 
     // Force-prediction mode: the shared model's trained direct head vs
     // zero-extra-cost energy-conserving forces (−∂E/∂x) from the same
     // weights.
-    let conservative_mae = conservative_force_mae(&model, &test, &normalizer);
+    let shared_at = variants.iter().position(|v| v.1 == "shared");
+    let (model, direct) = &trained[shared_at.expect("a shared-normalization variant")];
+    let conservative_mae = conservative_force_mae(model, test, shared);
     cfg.progress(&format!(
         "ablation force-mode: direct {:.4} vs conservative {:.4} eV/Å",
         direct.force_mae, conservative_mae

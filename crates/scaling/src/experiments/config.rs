@@ -57,14 +57,9 @@ impl ExperimentConfig {
                 ..UnitMap::default()
             },
             epochs: 2,
-            batch_size: 8,
-            base_lr: 3e-3,
-            seed: 2025,
-            test_fraction: 0.15,
             model_sizes: vec![200, 2_000, 20_000],
             tb_points: vec![0.1, 0.4, 1.2],
-            n_layers: 3,
-            verbose: true,
+            ..ExperimentConfig::full()
         }
     }
 

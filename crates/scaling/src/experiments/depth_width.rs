@@ -6,10 +6,9 @@
 //! layers hurts (over-smoothing); the default EGNN here has no residual
 //! feature update, matching that regime.
 
-use matgnn_data::{Dataset, Normalizer};
 use matgnn_model::{Egnn, EgnnConfig};
-use matgnn_train::{evaluate, Trainer};
 
+use super::sweep::{run, train_and_evaluate, Sweep};
 use crate::{format_params, ExperimentConfig};
 
 /// Which axis a point belongs to.
@@ -44,43 +43,38 @@ pub const DEPTH_WIDTH_TB: f64 = 0.4;
 /// Runs the Fig. 5 experiment. Returns width-sweep points followed by
 /// depth-sweep points.
 pub fn run_depth_width(cfg: &ExperimentConfig) -> Vec<DepthWidthPoint> {
-    let gen = cfg.generator();
-    let n_graphs = cfg.units.aggregate_graphs();
-    cfg.progress(&format!(
-        "depth/width: generating aggregate of {n_graphs} graphs"
-    ));
-    let aggregate = Dataset::generate_aggregate(n_graphs, cfg.seed, &gen);
-    let (train_full, test) = aggregate.split_test(cfg.test_fraction, cfg.seed ^ 0xBEEF);
-    let normalizer = Normalizer::fit(&train_full);
-    let subset = train_full.subsample_tb(DEPTH_WIDTH_TB, cfg.seed ^ 0xDA7A);
-    let steps_per_epoch = subset.len().div_ceil(cfg.batch_size);
+    let sweep = Sweep::prepare(cfg);
+    let subset = sweep.subset(DEPTH_WIDTH_TB);
+    let tc = cfg.train_config(subset.len().div_ceil(cfg.batch_size));
 
     // Width sweep: 3 layers, param targets spanning the paper's
     // 10 M – 100 M window (one decade).
-    let width_targets: Vec<usize> = vec![2_000, 5_000, 12_000, 30_000];
+    let width_targets = [2_000, 5_000, 12_000, 30_000];
     // Depth sweep: the width whose 3-layer model sits near the bottom of
     // that window, grown deeper (params rise with depth as in the paper).
-    let depth_values: Vec<usize> = vec![1, 2, 3, 4, 6, 8];
+    let depth_values = [1, 2, 3, 4, 6, 8];
     let fixed_width = EgnnConfig::with_target_params(2_000, 3).hidden_dim;
 
-    let train_one = |model_cfg: EgnnConfig, kind: SweepKind| -> DepthWidthPoint {
-        let mut model = Egnn::new(model_cfg.with_seed(cfg.seed));
-        let trainer = Trainer::new(cfg.train_config(steps_per_epoch));
-        let _ = trainer.fit(&mut model, &subset, None, &normalizer);
-        let metrics = evaluate(
-            &model,
-            &test,
-            &normalizer,
-            &trainer.config().loss,
-            cfg.batch_size,
-        );
+    let configs: Vec<(EgnnConfig, SweepKind)> = width_targets
+        .iter()
+        .map(|&target| (EgnnConfig::with_target_params(target, 3), SweepKind::Width))
+        .chain(
+            depth_values
+                .iter()
+                .map(|&depth| (EgnnConfig::new(fixed_width, depth), SweepKind::Depth)),
+        )
+        .collect();
+    run(&configs, |&(model_cfg, kind)| {
+        let model = Egnn::new(model_cfg.with_seed(cfg.seed));
+        let (model, _, m) = train_and_evaluate(model, &subset, &sweep.test, tc, &sweep.normalizer);
+        let actual_params = model.n_params();
         let point = DepthWidthPoint {
             kind,
             depth: model_cfg.n_layers,
             width: model_cfg.hidden_dim,
-            actual_params: model.n_params(),
-            paper_params: cfg.units.paper_params(model.n_params() as f64),
-            test_loss: metrics.loss,
+            actual_params,
+            paper_params: cfg.units.paper_params(actual_params as f64),
+            test_loss: m.loss,
         };
         cfg.progress(&format!(
             "depth/width {kind:?}: L={} h={} ({}) → test loss {:.4}",
@@ -90,22 +84,7 @@ pub fn run_depth_width(cfg: &ExperimentConfig) -> Vec<DepthWidthPoint> {
             point.test_loss
         ));
         point
-    };
-
-    let mut points = Vec::new();
-    for &target in &width_targets {
-        points.push(train_one(
-            EgnnConfig::with_target_params(target, 3),
-            SweepKind::Width,
-        ));
-    }
-    for &depth in &depth_values {
-        points.push(train_one(
-            EgnnConfig::new(fixed_width, depth),
-            SweepKind::Depth,
-        ));
-    }
-    points
+    })
 }
 
 #[cfg(test)]

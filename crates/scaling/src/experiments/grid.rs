@@ -7,10 +7,9 @@
 
 use std::time::Instant;
 
-use matgnn_data::{Dataset, Normalizer};
 use matgnn_model::{Egnn, EgnnConfig};
-use matgnn_train::{evaluate, Trainer};
 
+use super::sweep::{run, train_and_evaluate, Sweep};
 use crate::{fit_power_law, format_params, format_tb, ExperimentConfig, PowerLawFit};
 
 /// One trained grid point.
@@ -57,14 +56,10 @@ impl ScalingGrid {
         self.tb_points
             .iter()
             .map(|&tb| {
-                let mut series: Vec<(f64, f64)> = self
-                    .points
-                    .iter()
-                    .filter(|p| (p.tb - tb).abs() < 1e-9)
-                    .map(|p| (p.paper_params, p.test_loss))
-                    .collect();
-                series.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
-                (tb, series)
+                (
+                    tb,
+                    self.series(|p| (p.tb - tb).abs() < 1e-9, |p| p.paper_params),
+                )
             })
             .collect()
     }
@@ -75,20 +70,9 @@ impl ScalingGrid {
         self.model_sizes
             .iter()
             .map(|&size| {
-                let paper = self
-                    .points
-                    .iter()
-                    .find(|p| p.actual_params == size)
-                    .map(|p| p.paper_params)
-                    .unwrap_or(size as f64);
-                let mut series: Vec<(f64, f64)> = self
-                    .points
-                    .iter()
-                    .filter(|p| p.actual_params == size)
-                    .map(|p| (p.tb, p.test_loss))
-                    .collect();
-                series.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
-                (paper, series)
+                let paper = self.points.iter().find(|p| p.actual_params == size);
+                let series = self.series(|p| p.actual_params == size, |p| p.tb);
+                (paper.map_or(size as f64, |p| p.paper_params), series)
             })
             .collect()
     }
@@ -96,14 +80,7 @@ impl ScalingGrid {
     /// Power-law fit of test loss vs **actual** parameter count at a fixed
     /// dataset size.
     pub fn fit_model_scaling(&self, tb: f64) -> Option<PowerLawFit> {
-        let pts: Vec<&GridPoint> = self
-            .points
-            .iter()
-            .filter(|p| (p.tb - tb).abs() < 1e-9)
-            .collect();
-        let xs: Vec<f64> = pts.iter().map(|p| p.actual_params as f64).collect();
-        let ys: Vec<f64> = pts.iter().map(|p| p.test_loss).collect();
-        fit_power_law(&xs, &ys)
+        fit(&self.series(|p| (p.tb - tb).abs() < 1e-9, |p| p.actual_params as f64))
     }
 
     /// Power-law fit of test loss vs dataset size (in graphs) at a fixed
@@ -111,17 +88,33 @@ impl ScalingGrid {
     /// enter the fit, since the paper's own Fig. 4 discussion excludes the
     /// mismatched 0.1 TB point from the smooth trend.
     pub fn fit_data_scaling(&self, actual_params: usize) -> Option<PowerLawFit> {
-        let pts: Vec<&GridPoint> = self
+        let stratified = matgnn_data::BIASED_TB_THRESHOLD + 1e-9;
+        fit(&self.series(
+            |p| p.actual_params == actual_params && p.tb > stratified,
+            |p| p.tb,
+        ))
+    }
+
+    /// `(x(p), test_loss)` for every point `keep` selects, sorted by `x`.
+    fn series(
+        &self,
+        keep: impl Fn(&GridPoint) -> bool,
+        x: impl Fn(&GridPoint) -> f64,
+    ) -> Vec<(f64, f64)> {
+        let mut series: Vec<(f64, f64)> = self
             .points
             .iter()
-            .filter(|p| {
-                p.actual_params == actual_params && p.tb > matgnn_data::BIASED_TB_THRESHOLD + 1e-9
-            })
+            .filter(|p| keep(p))
+            .map(|p| (x(p), p.test_loss))
             .collect();
-        let xs: Vec<f64> = pts.iter().map(|p| p.tb).collect();
-        let ys: Vec<f64> = pts.iter().map(|p| p.test_loss).collect();
-        fit_power_law(&xs, &ys)
+        series.sort_by(|a, b| a.0.total_cmp(&b.0));
+        series
     }
+}
+
+fn fit(series: &[(f64, f64)]) -> Option<PowerLawFit> {
+    let (xs, ys): (Vec<f64>, Vec<f64>) = series.iter().copied().unzip();
+    fit_power_law(&xs, &ys)
 }
 
 /// Trains the full (model size × TB) grid.
@@ -130,55 +123,40 @@ impl ScalingGrid {
 /// normalizer are fixed across the grid so losses are comparable — the
 /// paper's protocol.
 pub fn run_scaling_grid(cfg: &ExperimentConfig) -> ScalingGrid {
-    let gen = cfg.generator();
-    let n_graphs = cfg.units.aggregate_graphs();
-    cfg.progress(&format!("generating aggregate of {n_graphs} graphs"));
-    let aggregate = Dataset::generate_aggregate(n_graphs, cfg.seed, &gen);
-    let (train_full, test) = aggregate.split_test(cfg.test_fraction, cfg.seed ^ 0xBEEF);
-    let normalizer = Normalizer::fit(&train_full);
-
-    let mut points = Vec::new();
-    for &tb in &cfg.tb_points {
-        let subset = train_full.subsample_tb(tb, cfg.seed ^ 0xDA7A);
-        let steps_per_epoch = subset.len().div_ceil(cfg.batch_size);
-        for &size in &cfg.model_sizes {
-            let t0 = Instant::now();
-            let model_cfg = EgnnConfig::with_target_params(size, cfg.n_layers).with_seed(cfg.seed);
-            let mut model = Egnn::new(model_cfg);
-            let trainer = Trainer::new(cfg.train_config(steps_per_epoch));
-            let report = trainer.fit(&mut model, &subset, None, &normalizer);
-            let metrics = evaluate(
-                &model,
-                &test,
-                &normalizer,
-                &trainer.config().loss,
-                cfg.batch_size,
-            );
-            let actual = model.n_params();
-            let point = GridPoint {
-                actual_params: size,
-                paper_params: cfg.units.paper_params(actual as f64),
-                tb,
-                train_loss: report
-                    .epochs
-                    .last()
-                    .map(|e| e.train_loss)
-                    .unwrap_or(f64::NAN),
-                test_loss: metrics.loss,
-                energy_mae: metrics.energy_mae,
-                force_mae: metrics.force_mae,
-            };
-            cfg.progress(&format!(
-                "grid point: {} ({} actual) @ {} → test loss {:.4}  [{:.1}s]",
-                format_params(point.paper_params),
-                actual,
-                format_tb(tb),
-                point.test_loss,
-                t0.elapsed().as_secs_f64(),
-            ));
-            points.push(point);
-        }
-    }
+    let sweep = Sweep::prepare(cfg);
+    let configs: Vec<(f64, usize)> = cfg
+        .tb_points
+        .iter()
+        .flat_map(|&tb| cfg.model_sizes.iter().map(move |&size| (tb, size)))
+        .collect();
+    let points = run(&configs, |&(tb, size)| {
+        let t0 = Instant::now();
+        let subset = sweep.subset(tb);
+        let model =
+            Egnn::new(EgnnConfig::with_target_params(size, cfg.n_layers).with_seed(cfg.seed));
+        let tc = cfg.train_config(subset.len().div_ceil(cfg.batch_size));
+        let (model, report, m) =
+            train_and_evaluate(model, &subset, &sweep.test, tc, &sweep.normalizer);
+        let actual = model.n_params();
+        let point = GridPoint {
+            actual_params: size,
+            paper_params: cfg.units.paper_params(actual as f64),
+            tb,
+            train_loss: report.epochs.last().map_or(f64::NAN, |e| e.train_loss),
+            test_loss: m.loss,
+            energy_mae: m.energy_mae,
+            force_mae: m.force_mae,
+        };
+        cfg.progress(&format!(
+            "grid point: {} ({} actual) @ {} → test loss {:.4}  [{:.1}s]",
+            format_params(point.paper_params),
+            actual,
+            format_tb(tb),
+            point.test_loss,
+            t0.elapsed().as_secs_f64(),
+        ));
+        point
+    });
 
     ScalingGrid {
         points,

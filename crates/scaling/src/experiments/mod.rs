@@ -1,14 +1,16 @@
 //! Experiment runners — one per figure of the paper's evaluation.
 //!
 //! Every runner consumes an [`ExperimentConfig`], trains real models on
-//! the synthetic aggregate, and returns plain data that the `matgnn-bench`
-//! binaries format into the paper's tables and series.
+//! the synthetic aggregate through the one [`sweep`] runner, and returns
+//! plain data that the `matgnn-bench` binary formats into the paper's
+//! tables and series.
 
 mod ablations;
 mod config;
 mod depth_width;
 mod grid;
 mod strong_scaling;
+pub mod sweep;
 mod transfer;
 mod variance;
 

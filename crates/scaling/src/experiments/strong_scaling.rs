@@ -1,8 +1,9 @@
 //! Strong-scaling throughput (extension experiment).
 //!
 //! HydraGNN-GFM's headline infrastructure claim (paper Sec. II-B) is
-//! near-linear strong scaling across GPUs. On one CPU core the simulated
-//! ranks are time-sliced, so measured wall time cannot show a speedup;
+//! near-linear strong scaling across GPUs. The simulated ranks are threads
+//! that time-slice the host's cores (2 vCPUs on the reference host), so
+//! measured wall time cannot show a speedup past the core count;
 //! instead this experiment combines a **measured** single-rank step time
 //! with the **modeled** ring-all-reduce cost from
 //! [`CostModel`](matgnn_dist::CostModel) to estimate per-node scaling, and
@@ -30,8 +31,9 @@ pub struct StrongScalingPoint {
     /// the step costs `max(t_compute, t_comm)` instead of their sum.
     /// An upper bound on what `overlap_comm` buys at this world size.
     pub modeled_graphs_per_s_overlap: f64,
-    /// Measured wall-clock throughput (time-sliced on one core; expected
-    /// flat — reported for transparency).
+    /// Measured wall-clock throughput (ranks time-slice the host's cores,
+    /// so it stops rising once ranks outnumber them — reported for
+    /// transparency).
     pub measured_graphs_per_s: f64,
 }
 

@@ -9,10 +9,11 @@
 //! **fine-tuned**, and **from-scratch** models on a held-out target test
 //! set, all under the same training budget.
 
-use matgnn_data::{Dataset, Normalizer, SourceKind};
+use matgnn_data::{Dataset, SourceKind};
 use matgnn_model::{Egnn, EgnnConfig, GnnModel};
-use matgnn_train::{evaluate, Trainer};
+use matgnn_train::TrainConfig;
 
+use super::sweep::{run, train_and_evaluate, Sweep};
 use crate::ExperimentConfig;
 
 /// One arm of the transfer comparison.
@@ -32,15 +33,11 @@ pub struct TransferResult {
 /// `[zero-shot, fine-tuned, from-scratch]` order.
 pub fn run_transfer(cfg: &ExperimentConfig) -> Vec<TransferResult> {
     let gen = cfg.generator();
-    let n_graphs = cfg.units.aggregate_graphs();
-    cfg.progress(&format!(
-        "transfer: generating pretraining aggregate of {n_graphs} graphs"
-    ));
-    let aggregate = Dataset::generate_aggregate(n_graphs, cfg.seed, &gen);
-    let (pretrain, _) = aggregate.split_test(cfg.test_fraction, cfg.seed ^ 0xBEEF);
-    let normalizer = Normalizer::fit(&pretrain);
+    let sweep = Sweep::prepare(cfg);
+    let normalizer = &sweep.normalizer;
 
     // Downstream task: fresh MPTrj-like data the pretraining never saw.
+    let n_graphs = cfg.units.aggregate_graphs();
     let target_train_n = (n_graphs / 24).max(8); // deliberately small
     let target_test_n = (n_graphs / 8).max(24);
     let target_train =
@@ -55,68 +52,46 @@ pub fn run_transfer(cfg: &ExperimentConfig) -> Vec<TransferResult> {
         EgnnConfig::with_target_params(cfg.model_sizes[cfg.model_sizes.len() / 2], cfg.n_layers)
             .with_seed(cfg.seed);
 
-    // Pretrain the foundational model on the aggregate.
-    let steps_pre = pretrain.len().div_ceil(cfg.batch_size);
-    let mut foundation = Egnn::new(model_cfg);
+    // Pretrain the foundational model on the aggregate; evaluated on the
+    // target, it is the zero-shot arm.
+    let foundation = Egnn::new(model_cfg);
     cfg.progress(&format!(
         "transfer: pretraining {} on the aggregate",
         foundation.describe()
     ));
-    let _ = Trainer::new(cfg.train_config(steps_pre)).fit(
-        &mut foundation,
-        &pretrain,
-        None,
-        &normalizer,
-    );
+    let tc_pre = cfg.train_config(sweep.train.len().div_ceil(cfg.batch_size));
+    let (foundation, _, zero_shot) =
+        train_and_evaluate(foundation, &sweep.train, &target_test, tc_pre, normalizer);
 
-    let loss_cfg = cfg.train_config(1).loss;
-    let eval = |m: &Egnn| evaluate(m, &target_test, &normalizer, &loss_cfg, cfg.batch_size);
-
-    // Arm 1: zero-shot.
-    let zs = eval(&foundation);
-
-    // Fine-tuning budget shared by both remaining arms.
-    let steps_ft = target_train.len().div_ceil(cfg.batch_size);
-    let mut ft_config = cfg.train_config(steps_ft);
-    ft_config.base_lr = cfg.base_lr * 0.3; // standard fine-tune LR cut
-
-    // Arm 2: fine-tune the foundation model.
-    let mut fine_tuned = foundation.clone();
-    cfg.progress("transfer: fine-tuning on the target source");
-    let _ = Trainer::new(ft_config).fit(&mut fine_tuned, &target_train, None, &normalizer);
-    let ft = eval(&fine_tuned);
-
-    // Arm 3: from scratch with the same budget (full LR — it starts cold).
-    let mut scratch = Egnn::new(model_cfg.with_seed(cfg.seed ^ 0x5C4A));
-    cfg.progress("transfer: training from scratch on the target source");
-    let _ = Trainer::new(cfg.train_config(steps_ft)).fit(
-        &mut scratch,
-        &target_train,
-        None,
-        &normalizer,
-    );
-    let sc = eval(&scratch);
-
-    let results = vec![
-        TransferResult {
-            arm: "zero-shot".to_string(),
-            test_loss: zs.loss,
-            energy_mae: zs.energy_mae,
-            force_mae: zs.force_mae,
-        },
-        TransferResult {
-            arm: "fine-tuned".to_string(),
-            test_loss: ft.loss,
-            energy_mae: ft.energy_mae,
-            force_mae: ft.force_mae,
-        },
-        TransferResult {
-            arm: "from-scratch".to_string(),
-            test_loss: sc.loss,
-            energy_mae: sc.energy_mae,
-            force_mae: sc.force_mae,
-        },
+    // The fine-tuning budget is shared by both remaining arms: fine-tune
+    // the foundation model at the standard fine-tune LR cut, or train from
+    // scratch at full LR (it starts cold).
+    let tc = cfg.train_config(target_train.len().div_ceil(cfg.batch_size));
+    let tc_ft = TrainConfig {
+        base_lr: cfg.base_lr * 0.3,
+        ..tc
+    };
+    let scratch = Egnn::new(model_cfg.with_seed(cfg.seed ^ 0x5C4A));
+    let arms = [
+        ("fine-tuned", foundation, tc_ft),
+        ("from-scratch", scratch, tc),
     ];
+    cfg.progress("transfer: fine-tuning and training from scratch on the target source");
+    let trained = run(&arms, |(_, model, tc)| {
+        let (_, _, m) =
+            train_and_evaluate(model.clone(), &target_train, &target_test, *tc, normalizer);
+        m
+    });
+
+    let results: Vec<TransferResult> = std::iter::once(("zero-shot", zero_shot))
+        .chain(arms.iter().map(|a| a.0).zip(trained))
+        .map(|(arm, m)| TransferResult {
+            arm: arm.to_string(),
+            test_loss: m.loss,
+            energy_mae: m.energy_mae,
+            force_mae: m.force_mae,
+        })
+        .collect();
     for r in &results {
         cfg.progress(&format!(
             "transfer {}: loss {:.4}, energy MAE {:.4}, force MAE {:.4}",

@@ -6,10 +6,10 @@
 //! point under different initialization/shuffle seeds quantifies the
 //! error bars behind EXPERIMENTS.md's "noise" caveats.
 
-use matgnn_data::{Dataset, Normalizer};
 use matgnn_model::{Egnn, EgnnConfig};
-use matgnn_train::{evaluate, Trainer};
+use matgnn_train::TrainConfig;
 
+use super::sweep::{run, train_and_evaluate, Sweep};
 use crate::ExperimentConfig;
 
 /// Variance statistics for one model size.
@@ -37,50 +37,38 @@ pub fn run_seed_variance(cfg: &ExperimentConfig, n_seeds: usize) -> Vec<Variance
         n_seeds >= 2,
         "need at least two seeds for a variance estimate"
     );
-    let gen = cfg.generator();
-    let n_graphs = cfg.units.aggregate_graphs();
-    cfg.progress(&format!(
-        "variance: generating aggregate of {n_graphs} graphs"
-    ));
-    let aggregate = Dataset::generate_aggregate(n_graphs, cfg.seed, &gen);
-    let (train_full, test) = aggregate.split_test(cfg.test_fraction, cfg.seed ^ 0xBEEF);
-    let normalizer = Normalizer::fit(&train_full);
-    let subset = train_full.subsample_tb(VARIANCE_TB, cfg.seed ^ 0xDA7A);
-    let steps_per_epoch = subset.len().div_ceil(cfg.batch_size);
+    let sweep = Sweep::prepare(cfg);
+    let subset = sweep.subset(VARIANCE_TB);
+    let tc = cfg.train_config(subset.len().div_ceil(cfg.batch_size));
+
+    let configs: Vec<(usize, usize)> = cfg
+        .model_sizes
+        .iter()
+        .flat_map(|&size| (0..n_seeds).map(move |s| (size, s)))
+        .collect();
+    let runs = run(&configs, |&(size, s)| {
+        let seed = cfg.seed ^ (s as u64 + 1).wrapping_mul(0x517C_C1B7);
+        let model = Egnn::new(EgnnConfig::with_target_params(size, cfg.n_layers).with_seed(seed));
+        let tc = TrainConfig { seed, ..tc };
+        let (model, _, m) = train_and_evaluate(model, &subset, &sweep.test, tc, &sweep.normalizer);
+        cfg.progress(&format!(
+            "variance: {size} params, seed {s}: test loss {:.4}",
+            m.loss
+        ));
+        (model.n_params(), m.loss)
+    });
 
     cfg.model_sizes
         .iter()
-        .map(|&size| {
-            let mut losses = Vec::with_capacity(n_seeds);
-            let mut paper_params = size as f64;
-            for s in 0..n_seeds {
-                let seed = cfg.seed ^ (s as u64 + 1).wrapping_mul(0x517C_C1B7);
-                let model_cfg = EgnnConfig::with_target_params(size, cfg.n_layers).with_seed(seed);
-                let mut model = Egnn::new(model_cfg);
-                paper_params = cfg.units.paper_params(model.n_params() as f64);
-                let mut tc = cfg.train_config(steps_per_epoch);
-                tc.seed = seed;
-                let trainer = Trainer::new(tc);
-                let _ = trainer.fit(&mut model, &subset, None, &normalizer);
-                let m = evaluate(
-                    &model,
-                    &test,
-                    &normalizer,
-                    &trainer.config().loss,
-                    cfg.batch_size,
-                );
-                cfg.progress(&format!(
-                    "variance: {size} params, seed {s}: test loss {:.4}",
-                    m.loss
-                ));
-                losses.push(m.loss);
-            }
+        .zip(runs.chunks(n_seeds))
+        .map(|(&size, runs)| {
+            let losses: Vec<f64> = runs.iter().map(|&(_, loss)| loss).collect();
             let mean = losses.iter().sum::<f64>() / losses.len() as f64;
             let var = losses.iter().map(|l| (l - mean) * (l - mean)).sum::<f64>()
                 / (losses.len() - 1) as f64;
             VariancePoint {
                 actual_params: size,
-                paper_params,
+                paper_params: cfg.units.paper_params(runs[0].0 as f64),
                 losses,
                 mean,
                 std: var.sqrt(),

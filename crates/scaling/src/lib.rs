@@ -11,7 +11,9 @@
 //! * [`landscape`] — the Fig. 1 prior-model landscape;
 //! * [`run_scaling_grid`] — the Fig. 3 / Fig. 4 model×data grid;
 //! * [`run_depth_width`] — Fig. 5;
-//! * [`run_ablations`], [`run_strong_scaling`] — extension experiments.
+//! * [`run_ablations`], [`run_strong_scaling`] — extension experiments;
+//! * [`sweep`] — the data preparation and concurrent point runner the
+//!   training experiments share.
 //!
 //! ```
 //! use matgnn_scaling::{fit_power_law, UnitMap};
@@ -35,7 +37,7 @@ mod units;
 
 pub use experiments::{
     run_ablations, run_depth_width, run_scaling_grid, run_seed_variance, run_strong_scaling,
-    run_transfer, AblationResult, DepthWidthPoint, ExperimentConfig, GridPoint, ScalingGrid,
+    run_transfer, sweep, AblationResult, DepthWidthPoint, ExperimentConfig, GridPoint, ScalingGrid,
     StrongScalingPoint, SweepKind, TransferResult, VariancePoint,
 };
 pub use landscape::{format_landscape, landscape, LandscapeEntry};

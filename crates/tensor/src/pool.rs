@@ -386,6 +386,9 @@ pub struct SendPtr {
 // SAFETY: sending the raw pointer is safe; all dereferencing goes through
 // the `unsafe fn slice`, whose caller guarantees disjointness.
 unsafe impl Send for SendPtr {}
+// SAFETY: a shared `&SendPtr` only copies the pointer and length out; the
+// one way to reach the buffer is the `unsafe fn slice`, whose caller
+// guarantees that the ranges handed to concurrent threads are disjoint.
 unsafe impl Sync for SendPtr {}
 
 impl SendPtr {

@@ -20,6 +20,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 mod checkpoint_state;
 mod loss;
